@@ -148,7 +148,6 @@ func Default() Config {
 		HotRoots: []string{
 			"(*hoiho/internal/extract.Corpus).Extract",
 			"(*hoiho/internal/extract.Corpus).ExtractBatch",
-			"(*hoiho/internal/extract.Corpus).ExtractBytes",
 			"(*hoiho/internal/match.Engine).MatchString",
 			"(*hoiho/internal/core.Set).Evaluate",
 			"(*hoiho/internal/core.Set).Learn",
@@ -170,7 +169,6 @@ func Default() Config {
 		ZeroAllocRoots: []string{
 			"(*hoiho/internal/extract.Corpus).Extract",
 			"(*hoiho/internal/extract.Corpus).ExtractBatch",
-			"(*hoiho/internal/extract.Corpus).ExtractBytes",
 			"(*hoiho/internal/match.Engine).MatchString",
 		},
 		LockPkgs: []string{

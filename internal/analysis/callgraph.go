@@ -14,7 +14,7 @@ import (
 // analyzer shares. The PR 3 pass resolved callees with a hand-rolled
 // ident walk, which missed three whole classes of edges: calls through
 // method values (f := c.helper; f()), dynamic dispatch through
-// interfaces (matcher.MatchString where matcher is a match.Matcher),
+// interfaces (m.MatchString where m has an interface type),
 // and closures handed to other code. A fmt.Sprintf two calls deep
 // behind any of those was invisible to the old graph — exactly the
 // shape that silently re-allocates the zero-alloc hot path. The typed

@@ -7,13 +7,13 @@ package cluster
 // one restored from a stale disk image, or one whose operator reloaded
 // the wrong file. Each sweep compares every healthy member's live
 // fingerprint against the committed target and repairs divergent nodes
-// with a single-node prepare→commit: the prev→committed HBD patch when
-// the node sits exactly one epoch behind (the common rejoin case), the
-// full committed corpus otherwise. Repair reuses the rollout transport,
-// so a delta the node cannot apply nacks as a base mismatch and falls
-// back to the full corpus, and a node that prepares a fingerprint other
-// than the target is aborted, never committed — the sweep can only move
-// nodes toward the committed state.
+// with repairNode, the same single-node prepare→commit a rollout uses on
+// a node whose commit failed: the prev→committed HBD patch when the
+// node sits exactly one epoch behind (the common rejoin case), the full
+// committed corpus otherwise. A delta the node cannot apply nacks as a
+// base mismatch and falls back to the full corpus, and a node that
+// prepares a fingerprint other than the target is aborted, never
+// committed — the sweep can only move nodes toward the committed state.
 //
 // Sweeps take adminMu with TryLock and step aside whenever a rollout or
 // membership change is running; a live rollout converges the fleet
@@ -23,9 +23,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
-	"strconv"
 	"time"
 
 	"hoiho/internal/extract"
@@ -87,23 +84,25 @@ func (rt *Router) antiEntropySweep(ctx context.Context) {
 		if err != nil || fp == st.TargetFP {
 			continue
 		}
-		payload, usedDelta := committed, false
+		var delta []byte
 		if prevFP != "" && fp == prevFP && !deltaFailed {
 			if repairDelta == nil {
 				repairDelta = rt.buildRepairDelta(prev, committed)
 				deltaFailed = repairDelta == nil
 			}
-			if repairDelta != nil {
-				payload, usedDelta = repairDelta, true
-			}
+			delta = repairDelta
 		}
-		if err := rt.repairNode(ctx, m, st, payload, committed, usedDelta); err != nil {
+		err = faultinject.Fire(ctx, faultinject.StageClusterAntiEntropy, m.name)
+		if err == nil {
+			_, err = rt.repairNode(ctx, m, st.Epoch, st.TargetFP, delta, committed)
+		}
+		if err != nil {
 			rt.stats.repairFails.Add(1)
 			rt.logf("anti-entropy: repair of %s failed: %v", m.name, err)
 			continue
 		}
 		rt.stats.repairs.Add(1)
-		rt.logf("anti-entropy: repaired %s from %s to %s (delta=%v)", m.name, fp, st.TargetFP, usedDelta)
+		rt.logf("anti-entropy: repaired %s from %s to %s (delta=%v)", m.name, fp, st.TargetFP, delta != nil)
 	}
 }
 
@@ -124,36 +123,4 @@ func (rt *Router) buildRepairDelta(prev, committed []byte) []byte {
 		return nil
 	}
 	return buf.Bytes()
-}
-
-// repairNode converges one divergent member with a single-node
-// prepare→commit of the committed target. The faultinject stage fires
-// per attempt (keyed by node name) before the node is contacted.
-func (rt *Router) repairNode(ctx context.Context, m *member, st *journalState, payload, full []byte, usedDelta bool) error {
-	if err := faultinject.Fire(ctx, faultinject.StageClusterAntiEntropy, m.name); err != nil {
-		return err
-	}
-	epochQ := "epoch=" + strconv.FormatUint(st.Epoch, 10)
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
-	defer cancel()
-	fp, _, err := rt.rolloutPost(pctx, "prepare", m, "/-/rollout/prepare", epochQ, payload)
-	if err != nil && usedDelta && errors.Is(err, ErrBaseMismatchNack) {
-		fp, _, err = rt.rolloutPost(pctx, "prepare", m, "/-/rollout/prepare", epochQ, full)
-	}
-	if err != nil {
-		return err
-	}
-	if fp != st.TargetFP {
-		// The node prepared something other than the committed target
-		// (a class filter, or a corpus that mutated in flight). Never
-		// commit it — drop the buffer and leave the node as it was.
-		rt.abortNode(ctx, m)
-		return fmt.Errorf("cluster: repair prepared %s, committed target is %s", fp, st.TargetFP)
-	}
-	cctx, ccancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
-	defer ccancel()
-	if _, _, err := rt.rolloutPost(cctx, "commit", m, "/-/rollout/commit", "fingerprint="+fp, nil); err != nil {
-		return err
-	}
-	return nil
 }

@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -234,6 +235,67 @@ func TestChaosRolloutStormAtomicity(t *testing.T) {
 		if rt.stats.rollouts.Load() != 10 || rt.stats.aborted.Load() != 10 {
 			t.Errorf("epochs accounted: %d committed %d aborted, want 10/10",
 				rt.stats.rollouts.Load(), rt.stats.aborted.Load())
+		}
+	})
+	check()
+}
+
+// TestChaosCommitFailureRollsForward: nodes fail their commit while the
+// coordinator stays up and traffic storms the router. A commit that
+// fails once is repaired inside the epoch; one that keeps failing
+// leaves the node to the anti-entropy sweep. No client sees a 5xx or a
+// corpus other than the old or the new target, and every node serves
+// (and holds on disk) the target once the epoch and one sweep finish.
+func TestChaosCommitFailureRollsForward(t *testing.T) {
+	check := leaktest.Check(t)
+	t.Run("storm", func(t *testing.T) {
+		nodes := newTestNodes(t, 3)
+		rt, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
+		allowed := map[string]uint32{fingerprintOf(t, "first"): 1, fingerprintOf(t, "second"): 2}
+		ctx := context.Background()
+
+		stop := make(chan struct{})
+		stats, wg := stormTraffic(t, rt, 4, stop, allowed, "")
+
+		for epoch, tc := range []struct {
+			variant string
+			victim  *testNode
+			times   int // commit failures injected; 0 is every attempt
+		}{
+			{"second", nodes[2], 1},
+			{"first", nodes[0], 0},
+			{"second", nodes[1], 0},
+			{"first", nodes[1], 1},
+		} {
+			restore := faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
+				{Stage: faultinject.StageClusterRollout, Key: "commit:" + tc.victim.url(),
+					Kind: faultinject.KindError, Prob: 1, Times: tc.times},
+			}})
+			_, err := rt.Rollout(ctx, []byte(corpusJSON(tc.variant)), 0)
+			restore()
+			if tc.times == 1 && err != nil {
+				t.Fatalf("epoch %d: in-epoch repair failed: %v", epoch, err)
+			}
+			if tc.times == 0 && !errors.Is(err, ErrNotConverged) {
+				t.Fatalf("epoch %d: rollout = %v, want ErrNotConverged", epoch, err)
+			}
+			rt.antiEntropySweep(ctx)
+			want := fingerprintOf(t, tc.variant)
+			for _, n := range nodes {
+				requireServesAndHolds(t, n, want)
+			}
+		}
+
+		close(stop)
+		wg.Wait()
+		if n := stats.non200.Load(); n != 0 {
+			t.Errorf("%d client requests failed across commit failures", n)
+		}
+		if n := stats.mismatch.Load(); n != 0 {
+			t.Errorf("%d responses carried a corpus other than the old or new target", n)
+		}
+		if stats.requests.Load() == 0 {
+			t.Fatal("storm made no requests")
 		}
 	})
 	check()

@@ -22,10 +22,15 @@
 //     buffer; validate requires every node to ack the same fingerprint
 //     and an unmoved serving generation (the X-Hoiho-Corpus /
 //     X-Hoiho-Generation headers are the proof); commit publishes
-//     everywhere atomically. Any nack, timeout, or partial failure
-//     aborts the epoch — committed nodes are rolled back through the
-//     existing /-/rollback path — so no client ever observes a
-//     generation that was not committed cluster-wide.
+//     everywhere. Any nack or timeout before commit aborts the epoch,
+//     so no client ever observes a generation that was not committed
+//     cluster-wide. Once commit starts the target is committed, and
+//     the one repair is forward: a node whose commit fails gets the
+//     single-node prepare→commit the anti-entropy sweep uses, inside
+//     the epoch; a node that still misses the target is reported
+//     (ErrNotConverged) and left to anti-entropy or the next rollout.
+//     No node is rolled back, so none serves or holds on disk a corpus
+//     other than the old one or the committed target.
 //
 //   - Membership: node join/leave rebuilds the hash ring and publishes
 //     it with one atomic pointer swap. In-flight requests finish on the

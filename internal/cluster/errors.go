@@ -30,6 +30,12 @@ var (
 	// header). The coordinator degrades gracefully: it resends the full
 	// corpus to just that node instead of aborting the epoch.
 	ErrBaseMismatchNack = errors.New("cluster: node nacked the rollout delta: base mismatch")
+	// ErrNotConverged means a rollout epoch committed but some nodes
+	// still miss its target: their commit failed and so did the forward
+	// repair inside the epoch. The target stays committed (and
+	// journaled); those nodes keep the old corpus until anti-entropy or
+	// the next rollout converges them.
+	ErrNotConverged = errors.New("cluster: epoch committed but not every node serves the target")
 )
 
 // ForwardError is one failed forwarding attempt: the node that was
@@ -50,13 +56,16 @@ func (e *ForwardError) Error() string {
 func (e *ForwardError) Unwrap() error { return e.Err }
 
 // RolloutError is a failed rollout epoch: the phase that broke, the
-// node that broke it, and the underlying cause. By the time a
-// RolloutError is returned, the coordinator has already aborted the
-// epoch — every node is back on (or never left) the prior generation.
+// node that broke it, and the underlying cause. A prepare or validate
+// RolloutError means the coordinator has already aborted the epoch and
+// every node still serves the prior generation. A commit RolloutError
+// wraps ErrNotConverged: the epoch committed, and Node names the nodes
+// still on the prior generation.
 type RolloutError struct {
 	// Phase is "prepare", "validate", or "commit".
 	Phase string
-	// Node is the member that nacked or timed out, when attributable.
+	// Node is the member that nacked or timed out, when attributable;
+	// for ErrNotConverged, every member that missed the target.
 	Node string
 	// Err is the underlying failure.
 	Err error

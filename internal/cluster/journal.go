@@ -205,8 +205,8 @@ func (j *journal) promoteEpoch() error {
 // last epoch completed, a clean abort when the crash predates the
 // commit record (no node can have published), and a roll-forward
 // re-rollout of the journaled target when the crash was inside commit
-// (some nodes may have published; converging everyone onto the target
-// is the only repair that never rolls a live generation backwards).
+// (some nodes may have published; as in a live epoch, the only repair
+// is forward onto the target).
 // Call it after Start, before accepting operator traffic.
 func (rt *Router) Resume(ctx context.Context) error {
 	if rt.journal == nil {
@@ -252,7 +252,13 @@ func (rt *Router) Resume(ctx context.Context) error {
 			return fmt.Errorf("cluster: resume: epoch %d journaled a commit but no target corpus survives", st.Epoch)
 		}
 		rt.logf("resume: epoch %d crashed in commit; rolling forward to %s", st.Epoch, st.TargetFP)
-		if _, err := rt.rolloutLocked(ctx, data, 0); err != nil {
+		_, err = rt.rolloutLocked(ctx, data, 0)
+		if errors.Is(err, ErrNotConverged) {
+			// Committed and journaled; anti-entropy owns the stragglers.
+			rt.logf("resume: %v", err)
+			return nil
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: resume: roll-forward of epoch %d: %w", st.Epoch, err)
 		}
 		return nil

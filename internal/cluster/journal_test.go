@@ -411,6 +411,94 @@ func TestResumeRollsForwardCrashMidCommit(t *testing.T) {
 	}
 }
 
+// TestRolloutCommitFailureJournaled: with a journal, a commit that
+// fails once is repaired inside the epoch, the epoch is journaled
+// committed with the target as committed.corpus, and the fleet is
+// already converged, so the next sweep has nothing to repair.
+func TestRolloutCommitFailureJournaled(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	rt, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
+	fpSecond := fingerprintOf(t, "second")
+	ctx := context.Background()
+
+	restore := faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
+		{Stage: faultinject.StageClusterRollout, Key: "commit:" + nodes[1].url(),
+			Kind: faultinject.KindError, Prob: 1, Times: 1},
+	}})
+	_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+	restore()
+	if err != nil {
+		t.Fatalf("rollout with a repaired commit failure = %v, want success", err)
+	}
+	requireCommitted(t, rt, fpSecond)
+	rt.antiEntropySweep(ctx)
+	if n := rt.stats.repairs.Load() + rt.stats.repairFails.Load(); n != 0 {
+		t.Errorf("sweep after an in-epoch repair attempted %d repairs, want 0", n)
+	}
+	for _, n := range nodes {
+		requireServesAndHolds(t, n, fpSecond)
+	}
+}
+
+// TestRolloutCommitNotConverged: when the in-epoch repair fails too,
+// the rollout names the node in an ErrNotConverged commit error, the
+// journal still says committed, the node keeps the old corpus on disk
+// and in memory, and one sweep converges it once the fault lifts.
+func TestRolloutCommitNotConverged(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	rt, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
+	fpFirst := fingerprintOf(t, "first")
+	fpSecond := fingerprintOf(t, "second")
+	ctx := context.Background()
+
+	restore := faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
+		{Stage: faultinject.StageClusterRollout, Key: "commit:" + nodes[2].url(),
+			Kind: faultinject.KindError, Prob: 1},
+	}})
+	_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+	restore()
+	var re *RolloutError
+	if !errors.Is(err, ErrNotConverged) || !errors.As(err, &re) || re.Phase != "commit" || re.Node != nodes[2].url() {
+		t.Fatalf("rollout = %v, want an ErrNotConverged commit error naming node 2", err)
+	}
+	requireCommitted(t, rt, fpSecond)
+	requireServesAndHolds(t, nodes[0], fpSecond)
+	requireServesAndHolds(t, nodes[1], fpSecond)
+	requireServesAndHolds(t, nodes[2], fpFirst)
+	if _, prepared := nodeFP(t, nodes[2]); prepared != "" {
+		t.Error("failed repair left a prepared corpus on node 2")
+	}
+
+	rt.antiEntropySweep(ctx)
+	for _, n := range nodes {
+		requireServesAndHolds(t, n, fpSecond)
+	}
+	if rt.stats.repairs.Load() != 1 {
+		t.Errorf("repairs = %d, want 1", rt.stats.repairs.Load())
+	}
+}
+
+// requireCommitted checks that the journal records fp as the committed
+// target and holds it as committed.corpus.
+func requireCommitted(t *testing.T, rt *Router, fp string) {
+	t.Helper()
+	st, err := rt.journal.load()
+	if err != nil || st == nil || st.Phase != phaseCommitted || st.TargetFP != fp {
+		t.Fatalf("journal = %+v (%v), want %s committed", st, err, fp)
+	}
+	committed, err := rt.journal.readCommitted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := extract.Load(bytes.NewReader(committed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FingerprintString(); got != fp {
+		t.Errorf("committed.corpus is %s, want %s", got, fp)
+	}
+}
+
 // TestAntiEntropyHealsDivergence: the sweep repairs a node restored
 // from a stale disk image (full-corpus repair), a node exactly one
 // epoch behind (delta repair from prev.corpus), and a node that left

@@ -18,10 +18,15 @@ package cluster
 //	commit   — every node publishes, pinned to the agreed fingerprint.
 //
 // Any nack or timeout in prepare/validate aborts the epoch: every side
-// buffer is dropped and serving state is untouched. A partial commit —
-// the one window where some nodes have published — is repaired by
-// rolling the committed nodes back through the nodes' existing
-// /-/rollback path, restoring the pre-epoch corpus everywhere.
+// buffer is dropped and serving state is untouched. Once the commit
+// phase starts the target counts as committed — journaled and promoted
+// when a journal is configured — and the only repair is forward: a node
+// whose commit fails is repaired inside the epoch by the single-node
+// prepare→commit the anti-entropy sweep uses (repairNode). A node that
+// still misses the target is named in an ErrNotConverged RolloutError
+// and left to anti-entropy or the next rollout. No node is ever rolled
+// back, so no node serves, or holds on disk, anything but the old
+// corpus or the committed target.
 //
 // The protocol is strictly one epoch at a time (adminMu), and the
 // member set is pinned to the view loaded at epoch start, so a
@@ -36,6 +41,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,9 +79,10 @@ type phaseAck struct {
 // data is the corpus to ship (HBC or JSON — nodes sniff). holdValidate,
 // when positive, pauses between prepare and validate; it exists so
 // chaos tests and the CI smoke script can widen the window in which to
-// kill a node mid-epoch. On any failure the epoch is aborted (committed
-// nodes rolled back) and the returned RolloutError names the phase and
-// node that broke it.
+// kill a node mid-epoch. A failure before commit aborts the epoch; a
+// failure in commit is repaired forward, and only nodes that still miss
+// the target fail the call (ErrNotConverged). The returned RolloutError
+// names the phase and node that broke it.
 func (rt *Router) Rollout(ctx context.Context, data []byte, holdValidate time.Duration) (*RolloutResult, error) {
 	if !rt.adminMu.TryLock() {
 		return nil, ErrRolloutInProgress
@@ -100,7 +107,6 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 	if err := rt.journalPhase(ctx, plan, phasePrepare, ""); err != nil {
 		return nil, err
 	}
-	epochQ := "epoch=" + strconv.FormatUint(plan.epoch, 10)
 
 	// Phase 1: prepare. Ship each node its planned payload — the HBD
 	// patch when the node's live fingerprint matched the delta base at
@@ -110,33 +116,24 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 	// retried immediately with the full corpus; only a full-corpus
 	// failure aborts the epoch. All prepared fingerprints must agree.
 	preps := rt.phaseFanout(ctx, "prepare", members, func(pctx context.Context, m *member) (string, uint64, error) {
-		body := plan.full
-		if plan.useDelta[m.name] {
-			body = plan.delta
-		}
-		fp, gen, err := rt.rolloutPost(pctx, "prepare", m, "/-/rollout/prepare", epochQ, body)
-		if err != nil && plan.useDelta[m.name] && errors.Is(err, ErrBaseMismatchNack) {
-			rt.logf("rollout: %s nacked the delta base; resending the full corpus", m.name)
-			return rt.rolloutPost(pctx, "prepare", m, "/-/rollout/prepare", epochQ, plan.full)
-		}
-		return fp, gen, err
+		return rt.prepareNode(pctx, m, plan.epoch, plan.deltaFor(m.name), plan.full)
 	})
 	var fp string
 	for _, a := range preps {
 		if a.err != nil {
-			rt.abortEpochJournaled(ctx, plan, members, "prepare", a.node, a.err)
+			rt.abortEpoch(ctx, plan, members, "prepare", a.node, a.err)
 			return nil, &RolloutError{Phase: "prepare", Node: a.node, Err: a.err}
 		}
 		if fp == "" {
 			fp = a.fp
 		} else if a.fp != fp {
 			err := fmt.Errorf("cluster: prepared fingerprint %s disagrees with reference %s (mismatched corpus or class filters across nodes)", a.fp, fp)
-			rt.abortEpochJournaled(ctx, plan, members, "prepare", a.node, err)
+			rt.abortEpoch(ctx, plan, members, "prepare", a.node, err)
 			return nil, &RolloutError{Phase: "prepare", Node: a.node, Err: err}
 		}
 	}
 	if err := rt.journalPhase(ctx, plan, phaseValidate, fp); err != nil {
-		rt.abortEpochJournaled(ctx, plan, members, "prepare", "", err)
+		rt.abortEpoch(ctx, plan, members, "prepare", "", err)
 		return nil, &RolloutError{Phase: "prepare", Err: err}
 	}
 
@@ -147,7 +144,7 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			rt.abortEpochJournaled(ctx, plan, members, "validate", "", ctx.Err())
+			rt.abortEpoch(ctx, plan, members, "validate", "", ctx.Err())
 			return nil, &RolloutError{Phase: "validate", Err: ctx.Err()}
 		}
 	}
@@ -166,50 +163,42 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 			err = fmt.Errorf("cluster: serving generation moved from %d to %d during the epoch", preps[i].gen, a.gen)
 		}
 		if err != nil {
-			rt.abortEpochJournaled(ctx, plan, members, "validate", a.node, err)
+			rt.abortEpoch(ctx, plan, members, "validate", a.node, err)
 			return nil, &RolloutError{Phase: "validate", Node: a.node, Err: err}
 		}
 	}
 	if err := rt.journalPhase(ctx, plan, phaseCommit, fp); err != nil {
-		rt.abortEpochJournaled(ctx, plan, members, "validate", "", err)
+		rt.abortEpoch(ctx, plan, members, "validate", "", err)
 		return nil, &RolloutError{Phase: "validate", Err: err}
 	}
 
-	// Phase 3: commit, pinned to the agreed fingerprint. A partial
-	// commit is repaired: committed nodes roll back, the rest abort.
+	// Phase 3: commit, pinned to the agreed fingerprint. The target is
+	// committed from here on: a node whose commit fails is repaired
+	// forward, never rolled back.
 	coms := rt.phaseFanout(ctx, "commit", members, func(pctx context.Context, m *member) (string, uint64, error) {
 		return rt.rolloutPost(pctx, "commit", m, "/-/rollout/commit", "fingerprint="+fp, nil)
 	})
-	var commitErr *RolloutError
-	for _, a := range coms {
-		if a.err != nil {
-			commitErr = &RolloutError{Phase: "commit", Node: a.node, Err: a.err}
-			break
+	var missed []string
+	for i, a := range coms {
+		if a.err == nil {
+			continue
 		}
-	}
-	if commitErr != nil {
-		for i, a := range coms {
-			m := members[i]
-			if a.err == nil {
-				if err := rt.rollbackNode(ctx, m); err != nil {
-					rt.logf("rollout: rollback of committed node %s failed: %v", m.name, err)
-				}
-			} else {
-				rt.abortNode(ctx, m)
-			}
+		m := members[i]
+		rt.logf("rollout: epoch %d: commit failed on %s, repairing forward: %v", plan.epoch, m.name, a.err)
+		gen, err := rt.repairNode(ctx, m, plan.epoch, fp, plan.deltaFor(m.name), plan.full)
+		if err != nil {
+			rt.logf("rollout: epoch %d: %s still misses %s: %v", plan.epoch, m.name, fp, err)
+			missed = append(missed, m.name)
+			continue
 		}
-		rt.stats.aborted.Add(1)
-		rt.markAborted(ctx, plan)
-		rt.logf("rollout: epoch aborted at commit: %v", commitErr)
-		return nil, commitErr
+		coms[i].gen = gen
 	}
 
-	// The epoch is live cluster-wide; rotate the journal's corpus files
-	// and make the outcome durable. Failures past this point are logged,
-	// never surfaced as a rollout error — returning one would claim the
-	// fleet is not on the target when it is. A journal left at commit
-	// resumes as a harmless roll-forward onto the corpus already
-	// serving.
+	// Rotate the journal's corpus files and make the outcome durable.
+	// Failures here are logged, never surfaced as a rollout error —
+	// returning one would claim the fleet is not on the target when it
+	// is. A journal left at commit resumes as a harmless roll-forward
+	// onto the corpus already serving.
 	if rt.journal != nil {
 		if err := rt.journal.promoteEpoch(); err != nil {
 			rt.logf("rollout: epoch %d corpus rotation: %v", plan.epoch, err)
@@ -219,11 +208,14 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 		rt.logf("rollout: epoch %d: %v", plan.epoch, err)
 	}
 
+	rt.stats.rollouts.Add(1)
+	if len(missed) > 0 {
+		return nil, &RolloutError{Phase: "commit", Node: strings.Join(missed, ", "), Err: ErrNotConverged}
+	}
 	res := &RolloutResult{Fingerprint: fp, Nodes: make([]NodeCommit, len(coms))}
 	for i, a := range coms {
 		res.Nodes[i] = NodeCommit{Node: a.node, Generation: a.gen}
 	}
-	rt.stats.rollouts.Add(1)
 	rt.logf("rollout: epoch %d committed %s on %d nodes (%d via delta)", plan.epoch, fp, len(coms), len(plan.useDelta))
 	return res, nil
 }
@@ -239,6 +231,15 @@ type epochPlan struct {
 	delta    []byte // nil when no delta applies this epoch
 	useDelta map[string]bool
 	nodes    []journalNode
+}
+
+// deltaFor is the HBD patch planned for the named member, nil when it
+// gets the full corpus.
+func (p *epochPlan) deltaFor(name string) []byte {
+	if p.useDelta[name] {
+		return p.delta
+	}
+	return nil
 }
 
 // planEpoch allocates the epoch number and decides per-node payloads.
@@ -342,17 +343,18 @@ func (rt *Router) journalPhase(ctx context.Context, plan *epochPlan, phase, fp s
 	})
 }
 
-// abortEpochJournaled aborts the epoch on every node and records the
-// aborted outcome.
-func (rt *Router) abortEpochJournaled(ctx context.Context, plan *epochPlan, members []*member, phase, node string, cause error) {
-	rt.abortEpoch(ctx, members, phase, node, cause)
-	rt.markAborted(ctx, plan)
-}
-
-// markAborted journals the aborted outcome. Best effort: the abort
-// itself already succeeded, and an unrecorded abort merely costs a
-// redundant abort round on the next resume.
-func (rt *Router) markAborted(ctx context.Context, plan *epochPlan) {
+// abortEpoch ends an epoch that failed before commit: every node's
+// side buffer is dropped, the abort is accounted, and the aborted
+// outcome is journaled. Best effort by design: an abort that cannot
+// reach a node leaves only an inert side buffer behind (it never
+// serves, and the next prepare overwrites it), and an unrecorded abort
+// merely costs a redundant abort round on the next resume.
+func (rt *Router) abortEpoch(ctx context.Context, plan *epochPlan, members []*member, phase, node string, cause error) {
+	for _, m := range members {
+		rt.abortNode(ctx, m)
+	}
+	rt.stats.aborted.Add(1)
+	rt.logf("rollout: epoch aborted in %s at %s: %v", phase, node, cause)
 	if rt.journal == nil {
 		return
 	}
@@ -467,18 +469,6 @@ func (rt *Router) rolloutPost(ctx context.Context, phase string, m *member, path
 	return fp, gen, nil
 }
 
-// abortEpoch drops every node's side buffer and accounts the aborted
-// epoch. Best effort by design: an abort that cannot reach a node
-// leaves only an inert side buffer behind (it never serves, and the
-// next prepare overwrites it).
-func (rt *Router) abortEpoch(ctx context.Context, members []*member, phase, node string, cause error) {
-	for _, m := range members {
-		rt.abortNode(ctx, m)
-	}
-	rt.stats.aborted.Add(1)
-	rt.logf("rollout: epoch aborted in %s at %s: %v", phase, node, cause)
-}
-
 // abortNode drops one node's side buffer. No faultinject hook here: the
 // abort path is the protocol's safety net and must stay maximally
 // reliable even under injected chaos.
@@ -494,25 +484,50 @@ func (rt *Router) abortNode(ctx context.Context, m *member) {
 	}
 }
 
-// rollbackNode undoes a committed node through the existing single-node
-// rollback path, restoring the pre-epoch corpus.
-func (rt *Router) rollbackNode(ctx context.Context, m *member) error {
+// prepareNode stages the target on one node: the HBD patch when delta
+// is non-nil, resent as the full corpus if the node nacks the patch's
+// base (it diverged since planning, or its class filter makes its
+// fingerprint incomparable).
+func (rt *Router) prepareNode(ctx context.Context, m *member, epoch uint64, delta, full []byte) (string, uint64, error) {
+	q := "epoch=" + strconv.FormatUint(epoch, 10)
+	if delta != nil {
+		fp, gen, err := rt.rolloutPost(ctx, "prepare", m, "/-/rollout/prepare", q, delta)
+		if !errors.Is(err, ErrBaseMismatchNack) {
+			return fp, gen, err
+		}
+		rt.logf("rollout: %s nacked the delta base; resending the full corpus", m.name)
+	}
+	return rt.rolloutPost(ctx, "prepare", m, "/-/rollout/prepare", q, full)
+}
+
+// repairNode converges one member onto the committed target with a
+// single-node prepare→commit and returns its new serving generation.
+// It is the one forward repair: the rollout's commit phase runs it on
+// nodes whose commit failed, and the anti-entropy sweep on nodes found
+// off the committed fingerprint. A node that prepares anything other
+// than targetFP (a class filter, or a corpus that mutated in flight) is
+// aborted, never committed, and so is one whose commit fails, so a
+// repair only ever moves a node toward the target and leaves no side
+// buffer behind.
+func (rt *Router) repairNode(ctx context.Context, m *member, epoch uint64, targetFP string, delta, full []byte) (uint64, error) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPost, m.endpoint("/-/rollback"), nil)
+	fp, _, err := rt.prepareNode(pctx, m, epoch, delta, full)
 	if err != nil {
-		return fmt.Errorf("cluster: rollback request: %w", err)
+		return 0, err
 	}
-	resp, err := rt.client.Do(req)
+	if fp != targetFP {
+		rt.abortNode(ctx, m)
+		return 0, fmt.Errorf("cluster: repair prepared %s, committed target is %s", fp, targetFP)
+	}
+	cctx, ccancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
+	defer ccancel()
+	_, gen, err := rt.rolloutPost(cctx, "commit", m, "/-/rollout/commit", "fingerprint="+fp, nil)
 	if err != nil {
-		return fmt.Errorf("cluster: rollback call: %w", err)
+		rt.abortNode(ctx, m)
+		return 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("cluster: rollback refused with %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return nil
+	return gen, nil
 }
 
 // handleRollout is the operator entry point: the corpus arrives in the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hoiho/internal/extract"
 	"hoiho/internal/faultinject"
 )
 
@@ -165,28 +166,48 @@ func TestRolloutCoordinatorFaultAborts(t *testing.T) {
 	}
 }
 
-// TestRolloutCommitPartialRollsBack: a commit that fails on one node
-// rolls the already-committed nodes back through /-/rollback, restoring
-// the pre-epoch corpus everywhere.
-func TestRolloutCommitPartialRollsBack(t *testing.T) {
+// TestRolloutCommitFailureRollsForward: a commit that fails once on one
+// node is repaired forward inside the epoch. Every node ends on the
+// target, and every node's corpus file holds what it serves, so a
+// restart cannot resurrect an aborted corpus.
+func TestRolloutCommitFailureRollsForward(t *testing.T) {
 	nodes := newTestNodes(t, 3)
 	rt := newTestRouter(t, nodes, nil)
-	fpFirst := fingerprintOf(t, "first")
+	fpSecond := fingerprintOf(t, "second")
 
 	defer faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
 		{Stage: faultinject.StageClusterRollout, Key: "commit:" + nodes[2].url(),
-			Kind: faultinject.KindError, Prob: 1},
+			Kind: faultinject.KindError, Prob: 1, Times: 1},
 	}})()
 
-	_, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0)
-	var re *RolloutError
-	if !errors.As(err, &re) || re.Phase != "commit" {
-		t.Fatalf("rollout = %v, want a commit-phase RolloutError", err)
+	res, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0)
+	if err != nil {
+		t.Fatalf("rollout with a repaired commit failure = %v, want success", err)
+	}
+	if res.Fingerprint != fpSecond {
+		t.Errorf("committed %s, want %s", res.Fingerprint, fpSecond)
 	}
 	for i, n := range nodes {
-		if fp, _ := nodeFP(t, n); fp != fpFirst {
-			t.Errorf("node %d serving %s after commit repair, want %s", i, fp, fpFirst)
+		requireServesAndHolds(t, n, fpSecond)
+		if _, prepared := nodeFP(t, n); prepared != "" {
+			t.Errorf("node %d retains a prepared corpus", i)
 		}
+	}
+}
+
+// requireServesAndHolds checks that n serves fp and that its corpus
+// file loads to the same fingerprint.
+func requireServesAndHolds(t *testing.T, n *testNode, fp string) {
+	t.Helper()
+	if got, _ := nodeFP(t, n); got != fp {
+		t.Errorf("node %s serves %s, want %s", n.url(), got, fp)
+	}
+	c, err := extract.LoadFile(n.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FingerprintString(); got != fp {
+		t.Errorf("node %s holds %s on disk, serves %s", n.url(), got, fp)
 	}
 }
 

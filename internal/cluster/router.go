@@ -7,12 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"hoiho/internal/faultinject"
+	"hoiho/internal/serve"
 )
 
 // maxProxyRespBytes caps a buffered upstream response. Extraction
@@ -318,23 +317,8 @@ func (rt *Router) writeProxied(w http.ResponseWriter, res *proxyResult, node str
 // exist), with a jittered Retry-After so synchronized clients spread
 // their return.
 func (rt *Router) shed(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", serve.RetryAfter(rt.cfg.RetryAfter))
 	http.Error(w, msg, http.StatusServiceUnavailable)
-}
-
-// retrySeq and retryAfterSeconds mirror internal/serve's jittered
-// Retry-After: deterministic Fibonacci-hash spread over [base, 2*base],
-// no RNG, no wall clock.
-var retrySeq atomic.Uint64
-
-func retryAfterSeconds(d time.Duration) string {
-	base := int((d + time.Second - 1) / time.Second)
-	if base < 1 {
-		base = 1
-	}
-	x := retrySeq.Add(1) * 0x9e3779b97f4a7c15
-	jitter := int((x >> 33) % uint64(base+1))
-	return strconv.Itoa(base + jitter)
 }
 
 // ClusterStatus is the /-/cluster document: membership health, ring

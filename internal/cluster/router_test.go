@@ -327,12 +327,22 @@ func TestClusterStatus(t *testing.T) {
 	}
 }
 
-// TestRetryAfterJitter: the shed hint spreads across [base, 2*base] so
-// synchronized clients do not return as a thundering herd.
+// TestRetryAfterJitter: the router's shed hint spreads across
+// [base, 2*base] of its configured RetryAfter, so synchronized clients
+// do not return as a thundering herd.
 func TestRetryAfterJitter(t *testing.T) {
+	nodes := newTestNodes(t, 2)
+	rt := newTestRouter(t, nodes, func(c *Config) { c.RetryAfter = 2 * time.Second })
+	defer faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
+		{Stage: faultinject.StageClusterForward, Kind: faultinject.KindError, Prob: 1},
+	}})()
 	distinct := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		v := retryAfterSeconds(2 * time.Second)
+		w, _ := doGet(t, rt, "/extract?host=as1-pod1.cluster0.net")
+		if w.Code != 503 {
+			t.Fatalf("all-down GET = %d, want 503", w.Code)
+		}
+		v := w.Header().Get("Retry-After")
 		n, err := strconv.Atoi(v)
 		if err != nil {
 			t.Fatalf("Retry-After %q is not an integer", v)

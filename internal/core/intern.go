@@ -11,9 +11,8 @@ const internShards = 16
 // Interner is a concurrency-safe string intern table. Intern returns a
 // stable string equal to its argument, allocating only the first time a
 // given value is seen; later calls return the retained copy without
-// allocating. That makes it the backing store for extraction results
-// produced from caller-owned byte slices: the returned strings do not
-// alias the input and are safe to share across goroutines.
+// allocating. The returned strings do not alias the input and are safe
+// to share across goroutines.
 //
 // Keys are the raw byte content: "007" and "7" intern separately even
 // though they parse to the same ASN, preserving the exact captured
@@ -63,7 +62,7 @@ func (in *Interner) Intern(b []byte) string {
 	if s, ok := sh.m[string(b)]; ok {
 		return s
 	}
-	s = string(b) //hoiho:hotalloc first sight of a new string interns exactly one copy; every later lookup hits the allocation-free map probe above
+	s = string(b)
 	sh.m[s] = s
 	return s
 }

@@ -3,158 +3,57 @@ package extract
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"testing"
+
+	"hoiho/internal/match"
 )
 
-// TestExtractBytesParity: the zero-alloc path must agree with Extract on
-// everything except the fields it intentionally leaves different
-// (Hostname empty, Digits interned).
-func TestExtractBytesParity(t *testing.T) {
-	ncs := syntheticNCs(t, 120)
-	c := New(ncs)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 20000; i++ {
-		host := randomHost(rng, ncs)
-		want, wantOK := c.Extract(ctx, host)
-		got, gotOK := c.ExtractBytes([]byte(host))
-		if gotOK != wantOK {
-			t.Fatalf("host %q: ExtractBytes ok=%v, Extract ok=%v", host, gotOK, wantOK)
-		}
-		if !gotOK {
-			if got != (Result{}) {
-				t.Fatalf("host %q: miss is not the zero Result: %+v", host, got)
-			}
-			continue
-		}
-		want.Hostname = ""
-		if got != want {
-			t.Fatalf("host %q: ExtractBytes %+v, Extract (hostname cleared) %+v", host, got, want)
-		}
-	}
+// regexpOracle is Extract with the stdlib matcher: the same suffix
+// resolution and ASN parse, with the governing convention's regexes run
+// through match.RegexpSet instead of the compiled engine.
+type regexpOracle struct {
+	c    *Corpus
+	sets map[string]*match.RegexpSet
 }
 
-// TestExtractBytesDoesNotAliasInput: results must stay valid after the
-// caller reuses the buffer — the whole point of the interned Digits.
-func TestExtractBytesDoesNotAliasInput(t *testing.T) {
-	c := New(syntheticNCs(t, 8))
-	buf := []byte("as64512.example0003.net")
-	r, ok := c.ExtractBytes(buf)
-	if !ok || r.Digits != "64512" || r.ASN != 64512 {
-		t.Fatalf("extract: %+v %v", r, ok)
-	}
-	for i := range buf {
-		buf[i] = 'X'
-	}
-	if r.Digits != "64512" || r.Suffix != "example0003.net" {
-		t.Fatalf("result aliased the caller's buffer: %+v", r)
-	}
+func newRegexpOracle(c *Corpus) *regexpOracle {
+	return &regexpOracle{c: c, sets: make(map[string]*match.RegexpSet)}
 }
 
-// TestExtractBytesAllocs: zero allocations on both hit and miss once the
-// corpus is precompiled and the digit strings are interned. This is the
-// contract the redesigned API exists for.
-func TestExtractBytesAllocs(t *testing.T) {
-	ncs := syntheticNCs(t, 64)
-	c := New(ncs)
-	c.Precompile()
-	hit := []byte("as64512-city7.example0000.net")
-	missRegex := []byte("lo0.rt3.example0000.net") // suffix governs, regex misses
-	missSuffix := []byte("as64512.unrelated.org")
-	if _, ok := c.ExtractBytes(hit); !ok {
-		t.Fatal("hit host missed")
+func (o *regexpOracle) Extract(host string) (Result, bool) {
+	e := o.c.lookup(host)
+	if e == nil {
+		return Result{}, false
 	}
-	if _, ok := c.ExtractBytes(missRegex); ok {
-		t.Fatal("missRegex host hit")
+	rs := o.sets[e.nc.Suffix]
+	if rs == nil {
+		rs = match.NewRegexpSet(e.nc.Regexes)
+		o.sets[e.nc.Suffix] = rs
 	}
-	if _, ok := c.ExtractBytes(missSuffix); ok {
-		t.Fatal("missSuffix host hit")
+	hit, ok := rs.MatchString(host)
+	if !ok {
+		return Result{}, false
 	}
-	// Warm the interner so the hit path takes the read-lock branch.
-	c.ExtractBytes(hit)
-	for name, host := range map[string][]byte{
-		"hit": hit, "missRegex": missRegex, "missSuffix": missSuffix,
-	} {
-		host := host
-		if n := testing.AllocsPerRun(200, func() {
-			c.ExtractBytes(host)
-		}); n != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, n)
-		}
+	digits := host[hit.Start:hit.End]
+	a, ok := parseASN(digits)
+	if !ok {
+		return Result{}, false
 	}
+	return Result{Hostname: host, Suffix: e.nc.Suffix, Digits: digits, ASN: a, Class: e.nc.Class, OK: true}, true
 }
 
-// TestExtractBytesConcurrent proves interned results are safe to share
-// across goroutines: many workers extract from reused per-goroutine
-// buffers and every retained Result must stay intact. Run under -race.
-func TestExtractBytesConcurrent(t *testing.T) {
-	ncs := syntheticNCs(t, 64)
-	c := New(ncs)
-	hosts := make([]string, 256)
-	rng := rand.New(rand.NewSource(21))
-	for i := range hosts {
-		hosts[i] = randomHost(rng, ncs)
-	}
-	want := make([]Result, len(hosts))
-	for i, h := range hosts {
-		want[i], _ = c.ExtractBytes([]byte(h))
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			buf := make([]byte, 0, 64) // reused: overwritten every iteration
-			var kept []Result
-			for rep := 0; rep < 400; rep++ {
-				i := (g*13 + rep*7) % len(hosts)
-				buf = append(buf[:0], hosts[i]...)
-				r, _ := c.ExtractBytes(buf)
-				kept = append(kept, r)
-				if r != want[i] {
-					select {
-					case errs <- hosts[i]:
-					default:
-					}
-					return
-				}
-			}
-			// Results retained across buffer reuse must still be intact.
-			for rep, r := range kept {
-				if r != want[(g*13+rep*7)%len(hosts)] {
-					select {
-					case errs <- "retained result mutated":
-					default:
-					}
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Errorf("concurrent ExtractBytes diverged on %s", e)
-	}
-}
-
-// TestMatcherRegexpParity: the stdlib engine behind WithMatcher must
-// produce byte-identical results to the default compiled engine — it is
-// the oracle the compiled path is tested against, and an operational
-// escape hatch that must not change answers.
+// TestMatcherRegexpParity: the compiled engine must produce results
+// byte-identical to the stdlib regexp oracle.
 func TestMatcherRegexpParity(t *testing.T) {
 	ncs := syntheticNCs(t, 100)
 	compiled := New(ncs)
-	oracle := New(ncs, WithMatcher(MatcherRegexp))
+	oracle := newRegexpOracle(compiled)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 20000; i++ {
 		host := randomHost(rng, ncs)
 		gm, gok := compiled.Extract(ctx, host)
-		wm, wok := oracle.Extract(ctx, host)
+		wm, wok := oracle.Extract(host)
 		if gok != wok || gm != wm {
 			t.Fatalf("host %q: compiled (%+v, %v), regexp (%+v, %v)", host, gm, gok, wm, wok)
 		}
@@ -163,11 +62,11 @@ func TestMatcherRegexpParity(t *testing.T) {
 
 // TestExtractDirtyHosts pins the normalization-sensitive paths: inputs
 // that are not clean lowercase ASCII take the historical slow path, and
-// both engines and both corpora agree on them.
+// the compiled engine agrees with the stdlib oracle on them.
 func TestExtractDirtyHosts(t *testing.T) {
 	ncs := syntheticNCs(t, 20)
 	compiled := New(ncs)
-	oracle := New(ncs, WithMatcher(MatcherRegexp))
+	oracle := newRegexpOracle(compiled)
 	ctx := context.Background()
 	hosts := []string{
 		"AS64512.EXAMPLE0003.NET",     // uppercase
@@ -180,17 +79,9 @@ func TestExtractDirtyHosts(t *testing.T) {
 	}
 	for _, h := range hosts {
 		gm, gok := compiled.Extract(ctx, h)
-		wm, wok := oracle.Extract(ctx, h)
+		wm, wok := oracle.Extract(h)
 		if gok != wok || gm != wm {
 			t.Fatalf("host %q: compiled (%+v, %v), regexp (%+v, %v)", h, gm, gok, wm, wok)
-		}
-		bm, bok := compiled.ExtractBytes([]byte(h))
-		if bok != gok {
-			t.Fatalf("host %q: ExtractBytes ok=%v, Extract ok=%v", h, bok, gok)
-		}
-		gm.Hostname = ""
-		if bok && bm != gm {
-			t.Fatalf("host %q: ExtractBytes %+v != Extract %+v", h, bm, gm)
 		}
 	}
 }

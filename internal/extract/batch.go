@@ -9,20 +9,6 @@ import (
 	"hoiho/internal/faultinject"
 )
 
-// CallOption tunes one ExtractBatch/ExtractStream invocation without
-// rebuilding the corpus.
-type CallOption func(*callOpts)
-
-type callOpts struct {
-	workers int
-}
-
-// CallWorkers overrides the corpus worker bound for this call only.
-// n <= 0 keeps the corpus default.
-func CallWorkers(n int) CallOption {
-	return func(o *callOpts) { o.workers = n }
-}
-
 // batchChunk is the unit of work sharding: small enough to balance skewed
 // per-hostname costs across workers, large enough to amortize the
 // scheduling atomics.
@@ -35,9 +21,9 @@ const batchChunk = 512
 // between chunks: on cancellation the workers stop, the results
 // processed so far are returned alongside ctx.Err(), and the untouched
 // tail is zero-valued (OK == false).
-func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string, opts ...CallOption) ([]Result, error) {
+func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string) ([]Result, error) {
 	out := make([]Result, len(hosts)) //hoiho:hotalloc one result slice per batch call, amortized over len(hosts) items; benchgate pins the 3 allocs/op batch budget
-	workers := c.workerCount(len(hosts), opts)
+	workers := c.workerCount(len(hosts))
 	nChunks := (len(hosts) + batchChunk - 1) / batchChunk
 	//hoiho:hotalloc one chunk-worker closure per batch call, not per hostname
 	extractChunk := func(ci int) {
@@ -102,9 +88,9 @@ const streamChunk = 256
 // promptly. A consumer that stops reading early MUST cancel ctx (and
 // may then abandon the channel); draining the channel fully needs no
 // cancellation.
-func (c *Corpus) ExtractStream(ctx context.Context, in <-chan string, opts ...CallOption) <-chan Result {
+func (c *Corpus) ExtractStream(ctx context.Context, in <-chan string) <-chan Result {
 	out := make(chan Result, streamChunk)
-	workers := c.workerCount(streamChunk*4, opts)
+	workers := c.workerCount(streamChunk * 4)
 
 	type job struct {
 		seq   int

@@ -71,22 +71,19 @@ func ApplyDelta(base *Corpus, delta []byte, opts ...Option) (*Corpus, []byte, er
 		return nil, nil, fmt.Errorf("extract: apply delta: corpus contains no conventions")
 	}
 	c := New(ncs, opts...)
-	if c.kind == MatcherCompiled {
-		for i, nc := range ncs {
-			e, ok := c.entries[nc.Suffix]
-			if !ok || e.nc != nc {
-				continue // filtered out, or superseded by a later duplicate
-			}
-			eng := engines[i]
-			if eng == nil {
-				// A copied record: base's compiled engine is the engine
-				// for these exact programs.
-				eng = base.compiledEngine(nc)
-			}
-			// Single-threaded: the corpus is not shared until we return.
-			e.eng = eng
-			e.m = eng
+	for i, nc := range ncs {
+		e, ok := c.entries[nc.Suffix]
+		if !ok || e.nc != nc {
+			continue // filtered out, or superseded by a later duplicate
 		}
+		eng := engines[i]
+		if eng == nil {
+			// A copied record: base's compiled engine is the engine
+			// for these exact programs.
+			eng = base.compiledEngine(nc)
+		}
+		// Single-threaded: the corpus is not shared until we return.
+		e.eng = eng
 	}
 	c.Precompile()
 	return c, full, nil

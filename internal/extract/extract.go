@@ -7,14 +7,12 @@
 // A Corpus indexes NCs by registered-domain suffix and resolves a
 // hostname with an allocation-free label-suffix probe (an offset-based
 // PSL walk for corpora whose indexed suffixes sit above other PSL
-// rules). Each suffix's NC set compiles exactly once — by default into
-// internal/match's specialized byte-level engine, with the stdlib regexp
-// path retained behind the same Matcher interface as the property-test
-// oracle (WithMatcher) — so any number of concurrent extractors share
-// one compiled corpus. Extract is the single-hostname path, ExtractBytes
-// the zero-allocation fast path, and ExtractBatch / ExtractStream shard
-// million-hostname workloads over a worker pool with deterministic,
-// input-ordered results.
+// rules). Each suffix's NC set compiles exactly once into
+// internal/match's specialized byte-level engine (stdlib regexp stays
+// the property-test oracle), so any number of concurrent extractors
+// share one compiled corpus. Extract is the single-hostname path, and
+// ExtractBatch / ExtractStream shard million-hostname workloads over a
+// worker pool with deterministic, input-ordered results.
 package extract
 
 import (
@@ -24,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"hoiho/internal/asn"
 	"hoiho/internal/core"
@@ -35,18 +32,16 @@ import (
 )
 
 // Result is one extraction outcome. Every surface returns it: Extract
-// and ExtractBytes directly, ExtractBatch and ExtractStream one per
-// input in input order. OK distinguishes hits from misses so batch
-// positions stay aligned with their inputs; a miss is the zero Result.
+// directly, ExtractBatch and ExtractStream one per input in input
+// order. OK distinguishes hits from misses so batch positions stay
+// aligned with their inputs; a miss is the zero Result.
 type Result struct {
-	// Hostname echoes the input on the string-based paths. ExtractBytes
-	// leaves it empty: the caller owns, and may reuse, the byte slice.
+	// Hostname echoes the input.
 	Hostname string
 	// Suffix is the matched NC's registered-domain suffix.
 	Suffix string
-	// Digits is the raw captured digit string. Extract and the batch
-	// paths slice the input hostname; ExtractBytes returns an interned
-	// copy that is stable and safe to share across goroutines.
+	// Digits is the raw captured digit string, a slice of the input
+	// hostname.
 	Digits string
 	// ASN is the parsed extraction.
 	ASN asn.ASN
@@ -58,49 +53,25 @@ type Result struct {
 	OK bool
 }
 
-// MatcherKind selects the engine a Corpus compiles each suffix's NC set
-// into.
-type MatcherKind uint8
-
-const (
-	// MatcherCompiled is the default: internal/match's byte-level
-	// compiled engine (prefilters, shared tail trie, no allocation).
-	MatcherCompiled MatcherKind = iota
-	// MatcherRegexp is the stdlib regexp path behind the same interface:
-	// the oracle the compiled engine is property-tested against, and an
-	// operational escape hatch.
-	MatcherRegexp
-)
-
-// entry pairs an NC with its compile-once matcher. The Once makes
+// entry pairs an NC with its compile-once engine. The Once makes
 // compilation happen exactly once no matter how many goroutines arrive.
 type entry struct {
 	nc   *core.NC
 	once sync.Once
-	m    match.Matcher
-	// eng is m when it is the compiled engine, letting hot paths call it
-	// statically instead of through the interface.
-	eng *match.Engine
+	eng  *match.Engine
 }
 
-// matcher returns the entry's engine, compiling it on first use. An
-// entry pre-armed by the binary corpus loader (m already set, before
-// the corpus was shared) keeps its deserialized engine.
-func (e *entry) matcher(kind MatcherKind) match.Matcher {
+// engine returns the entry's engine, compiling it on first use. An
+// entry pre-armed by the binary corpus loader or a delta apply (eng
+// already set, before the corpus was shared) keeps that engine.
+func (e *entry) engine() *match.Engine {
 	//hoiho:hotalloc compile-once guard: the literal runs once per entry and does not escape on the armed fast path; benchgate pins 0 allocs/op after Precompile
 	e.once.Do(func() {
-		if e.m != nil {
-			return
-		}
-		if kind == MatcherRegexp {
-			e.m = match.NewRegexpSet(e.nc.Regexes)
-		} else {
-			eng := match.Compile(e.nc.Regexes)
-			e.eng = eng
-			e.m = eng
+		if e.eng == nil {
+			e.eng = match.Compile(e.nc.Regexes)
 		}
 	})
-	return e.m
+	return e.eng
 }
 
 // Corpus is an immutable, concurrency-safe index of learned NCs, ready to
@@ -112,13 +83,9 @@ type Corpus struct {
 	ncs      []*core.NC // retained NCs, suffix-sorted
 	workers  int
 	minClass core.Classification
-	kind     MatcherKind
-	// intern backs ExtractBytes results: digit strings returned from
-	// caller-owned buffers are stable interned copies.
-	intern *core.Interner
-	// ready is set by Precompile: every entry's matcher is built, so hot
-	// paths may read entry.m directly instead of going through the Once
-	// (the Store/Load pair orders those writes before the reads).
+	// ready is set by Precompile: every entry's engine is built, so hot
+	// paths may read entry.eng directly instead of going through the
+	// Once (the Store/Load pair orders those writes before the reads).
 	ready atomic.Bool
 	// maxLabels bounds the fallback suffix walk: no indexed suffix has
 	// more labels than this.
@@ -170,12 +137,6 @@ func WithWorkers(n int) Option {
 	return func(c *Corpus) { c.workers = n }
 }
 
-// WithMatcher selects the matching engine. The default is
-// MatcherCompiled.
-func WithMatcher(k MatcherKind) Option {
-	return func(c *Corpus) { c.kind = k }
-}
-
 // MinClass keeps only NCs graded at least min. The zero value (Poor)
 // keeps everything.
 func MinClass(min core.Classification) Option {
@@ -188,7 +149,7 @@ func UsableOnly() Option { return MinClass(core.Promising) }
 
 // New indexes ncs into a Corpus. When two NCs share a suffix the later
 // one wins, matching the map-overwrite behavior of the replaced
-// per-consumer indexes. Compilation is lazy: a suffix's matcher is built
+// per-consumer indexes. Compilation is lazy: a suffix's engine is built
 // on its first lookup, once; Load precompiles eagerly.
 func New(ncs []*core.NC, opts ...Option) *Corpus {
 	c := &Corpus{entries: make(map[string]*entry, len(ncs))}
@@ -198,7 +159,6 @@ func New(ncs []*core.NC, opts ...Option) *Corpus {
 	if c.list == nil {
 		c.list = psl.Default()
 	}
-	c.intern = core.NewInterner()
 	for _, nc := range ncs {
 		if nc == nil || nc.Class < c.minClass {
 			continue
@@ -317,7 +277,7 @@ func le64(s string) uint64 {
 		uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
 }
 
-// Precompile builds every suffix's matcher now instead of on first
+// Precompile builds every suffix's engine now instead of on first
 // lookup, so a served corpus pays compilation once at load time, never
 // on the request path. Load calls it; New stays lazy for transient
 // corpora built mid-learning.
@@ -325,18 +285,18 @@ func le64(s string) uint64 {
 //hoiho:ctxflow bounded one-shot compile over the indexed suffixes at load time, milliseconds even for full-scale corpora; not a streaming pipeline
 func (c *Corpus) Precompile() {
 	for _, e := range c.entries {
-		e.matcher(c.kind)
+		e.engine()
 	}
 	c.ready.Store(true)
 }
 
-// matcherFor resolves e's matcher: a plain field read once Precompile
+// engineFor resolves e's engine: a plain field read once Precompile
 // has run, the compile-once slow path before that.
-func (c *Corpus) matcherFor(e *entry) match.Matcher {
+func (c *Corpus) engineFor(e *entry) *match.Engine {
 	if c.ready.Load() {
-		return e.m
+		return e.eng
 	}
-	return e.matcher(c.kind)
+	return e.engine()
 }
 
 // Len returns the number of indexed NCs.
@@ -560,7 +520,7 @@ func (c *Corpus) lookupDirty(host string) *entry {
 }
 
 // extractInto is the core shared by every surface: resolve the
-// governing NC by suffix, run its matcher, parse the capture. As in the
+// governing NC by suffix, run its engine, parse the capture. As in the
 // replaced consumer paths, a governing NC that fails to match ends the
 // lookup — shallower suffixes are not consulted — and a capture that
 // does not parse as an ASN ends the extraction. On a hit the fields
@@ -573,13 +533,7 @@ func (c *Corpus) extractInto(dst *Result, host string) bool {
 	if e == nil {
 		return false
 	}
-	var hit match.Hit
-	var ok bool
-	if c.ready.Load() && e.eng != nil {
-		hit, ok = e.eng.MatchString(host)
-	} else {
-		hit, ok = c.matcherFor(e).MatchString(host)
-	}
+	hit, ok := c.engineFor(e).MatchString(host)
 	if !ok {
 		return false
 	}
@@ -621,45 +575,6 @@ func (c *Corpus) Extract(ctx context.Context, host string) (Result, bool) {
 	return r, ok
 }
 
-// ExtractBytes is the zero-allocation fast path: it applies the corpus
-// to a caller-owned byte slice without copying it, allocating nothing on
-// hit or miss for hostnames already in normalized form (lowercase, no
-// surrounding space, no trailing dot — what a PTR sweep feeds it). The
-// returned Result does not reference host: Hostname is left empty and
-// Digits is an interned copy, so Results are stable after the caller
-// reuses the buffer and safe to share across goroutines.
-func (c *Corpus) ExtractBytes(host []byte) (Result, bool) {
-	h := bytesToString(host)
-	e := c.lookup(h)
-	if e == nil {
-		return Result{}, false
-	}
-	hit, ok := c.matcherFor(e).MatchString(h)
-	if !ok {
-		return Result{}, false
-	}
-	a, ok := parseASN(h[hit.Start:hit.End])
-	if !ok {
-		return Result{}, false
-	}
-	return Result{
-		Suffix: e.nc.Suffix,
-		Class:  e.nc.Class,
-		Digits: c.intern.Intern(host[hit.Start:hit.End]),
-		ASN:    a,
-		OK:     true,
-	}, true
-}
-
-// bytesToString reinterprets b as a string without copying. Safe here
-// because every use is strictly read-only and the reference never
-// outlives the call: lookup probes maps with it and the matcher only
-// reads it; ExtractBytes re-slices the original byte slice for anything
-// it returns.
-func bytesToString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
 // parseASN parses a captured span exactly as asn.Parse treats captured
 // digits, without allocating: base 10, 32 bits, rejecting empty input,
 // non-digits (an AS-name capture), zero, and overflow. A parse failure
@@ -683,17 +598,9 @@ func parseASN(digits string) (asn.ASN, bool) {
 	return asn.ASN(v), true
 }
 
-// workerCount resolves the pool size for n items, honoring per-call
-// overrides.
-func (c *Corpus) workerCount(n int, opts []CallOption) int {
-	var co callOpts
-	for _, o := range opts {
-		o(&co)
-	}
-	w := co.workers
-	if w <= 0 {
-		w = c.workers
-	}
+// workerCount resolves the pool size for n items.
+func (c *Corpus) workerCount(n int) int {
+	w := c.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

@@ -348,16 +348,6 @@ func TestExtractBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("index %d: serial %+v != parallel %+v", i, serial[i], got[i])
 		}
 	}
-	// Per-call worker override must not change results.
-	one, err := c.ExtractBatch(ctx, hosts, CallWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range one {
-		if one[i] != got[i] {
-			t.Fatalf("index %d: CallWorkers(1) %+v != default %+v", i, one[i], got[i])
-		}
-	}
 }
 
 // TestExtractStreamOrdered checks the streaming path emits every result

@@ -93,10 +93,8 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 
 // loadHBC indexes a decoded binary corpus, pre-arming each entry with
 // its deserialized engine so Precompile has nothing left to compile.
-// The engines are only installed when the corpus runs the compiled
-// matcher (the default); WithMatcher(MatcherRegexp) falls back to the
-// normal stdlib compile path, and MinClass filtering simply drops the
-// filtered entries' engines along with their NCs.
+// MinClass filtering simply drops the filtered entries' engines along
+// with their NCs.
 func loadHBC(data []byte, opts ...Option) (*Corpus, error) {
 	dec, err := corpusbin.Decode(data)
 	if err != nil {
@@ -106,16 +104,13 @@ func loadHBC(data []byte, opts ...Option) (*Corpus, error) {
 		return nil, fmt.Errorf("extract: load: corpus contains no conventions")
 	}
 	c := New(dec.NCs, opts...)
-	if c.kind == MatcherCompiled {
-		for i, nc := range dec.NCs {
-			e, ok := c.entries[nc.Suffix]
-			if !ok || e.nc != nc || dec.Engines[i] == nil {
-				continue // filtered out, or superseded by a later duplicate
-			}
-			// Single-threaded: the corpus is not shared until Load returns.
-			e.eng = dec.Engines[i]
-			e.m = dec.Engines[i]
+	for i, nc := range dec.NCs {
+		e, ok := c.entries[nc.Suffix]
+		if !ok || e.nc != nc || dec.Engines[i] == nil {
+			continue // filtered out, or superseded by a later duplicate
 		}
+		// Single-threaded: the corpus is not shared until Load returns.
+		e.eng = dec.Engines[i]
 	}
 	c.Precompile()
 	return c, nil
@@ -154,8 +149,7 @@ func (c *Corpus) Save(w io.Writer) error {
 // internal/corpusbin): the same retained NCs as Save, plus each one's
 // compiled match programs, so a later Load reaches ready-to-serve state
 // without recompiling. Already-compiled engines are reused; suffixes
-// whose matcher was never built (or was built on the stdlib path)
-// compile here, once.
+// whose engine was never built compile here, once.
 func (c *Corpus) SaveBinary(w io.Writer) error {
 	if err := corpusbin.Encode(w, c.binaryRecords()); err != nil {
 		return fmt.Errorf("extract: save: %w", err)
@@ -164,7 +158,7 @@ func (c *Corpus) SaveBinary(w io.Writer) error {
 }
 
 // compiledEngine returns nc's compiled engine, reusing the entry's when
-// it exists and was built on the compiled path.
+// it has been built.
 func (c *Corpus) compiledEngine(nc *core.NC) *match.Engine {
 	if e, ok := c.entries[nc.Suffix]; ok && e.nc == nc && e.eng != nil {
 		return e.eng

@@ -54,8 +54,9 @@ const (
 	// StageClusterRollout fires once per rollout phase step, before the
 	// coordinator contacts a node; the key is "<phase>:<node>"
 	// (e.g. "prepare:node2"). Error rules here model a coordinator-side
-	// failure mid-rollout, which must abort the epoch and leave every
-	// node on the prior generation.
+	// failure mid-rollout: before commit it must abort the epoch and
+	// leave every node on the prior generation; in commit the node must
+	// be repaired forward onto the target.
 	StageClusterRollout = "cluster.rollout"
 	// StageCorpusbinDelta fires once per HBD delta application, after the
 	// base fingerprint check and before the patched corpus is assembled;

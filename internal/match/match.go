@@ -11,8 +11,8 @@
 // that replicates the stdlib's leftmost-first capture semantics without
 // submatch machinery or allocation.
 //
-// The stdlib path is retained as the oracle: NewRegexpSet implements the
-// same Matcher interface on regexp, the property tests and the
+// The stdlib path is retained as the oracle: NewRegexpSet offers the
+// same MatchString on regexp, the property tests and the
 // FuzzCompiledMatchParity target assert agreement between the two on
 // match/no-match, winning regex index, and capture span, and a compiled
 // program whose backtracking exceeds its step budget (possible only on
@@ -34,20 +34,6 @@ type Hit struct {
 	Index int
 	Start int
 	End   int
-}
-
-// Matcher is the per-suffix matching contract shared by the compiled
-// Engine and the stdlib-backed RegexpSet. Implementations are immutable
-// after construction and safe for concurrent use.
-type Matcher interface {
-	// MatchString reports the first regex in the set matching host, with
-	// the capture span, mirroring the semantics of running each regex's
-	// FindStringSubmatchIndex in order.
-	MatchString(host string) (Hit, bool)
-	// Len reports how many regexes compiled into the set (regexes whose
-	// stdlib compilation fails are dropped, as the serving path has
-	// always done).
-	Len() int
 }
 
 // trieThreshold gates the shared tail trie: sets smaller than this check
@@ -115,9 +101,8 @@ func (e *Engine) MatchString(host string) (Hit, bool) {
 	return Hit{}, false
 }
 
-// RegexpSet is the stdlib implementation of Matcher: the property-test
-// and fuzz oracle for Engine, and the fallback serving path selectable
-// via extract.WithMatcher.
+// RegexpSet is the stdlib counterpart of Engine: the property-test and
+// fuzz oracle the compiled engine must agree with.
 type RegexpSet struct {
 	res []*regexp.Regexp
 }

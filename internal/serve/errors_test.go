@@ -93,12 +93,12 @@ func TestRetryAfterSeconds(t *testing.T) {
 		d    time.Duration
 		base int
 	}{{0, 1}, {50 * time.Millisecond, 1}, {time.Second, 1}, {2500 * time.Millisecond, 3}} {
-		got, err := strconv.Atoi(retryAfterSeconds(tc.d))
+		got, err := strconv.Atoi(RetryAfter(tc.d))
 		if err != nil {
-			t.Fatalf("retryAfterSeconds(%v) is not an integer", tc.d)
+			t.Fatalf("RetryAfter(%v) is not an integer", tc.d)
 		}
 		if got < tc.base || got > 2*tc.base {
-			t.Errorf("retryAfterSeconds(%v) = %d, want within [%d, %d]", tc.d, got, tc.base, 2*tc.base)
+			t.Errorf("RetryAfter(%v) = %d, want within [%d, %d]", tc.d, got, tc.base, 2*tc.base)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -23,46 +26,91 @@ type snapshot struct {
 	loadedAt time.Time
 }
 
-// Reload loads a candidate corpus from the configured path into a side
-// buffer, validates it (the hardened extract.Load refuses truncated,
-// oversized, versionless, or empty corpora), and only then atomically
-// publishes it. The previous snapshot is retained for Rollback. On any
-// failure the running corpus is untouched — a poisoned file on disk
-// costs a logged error, never an outage.
+// Reload loads the corpus file's bytes through the same full-corpus
+// load step as a rollout prepare (the hardened extract.Load refuses
+// truncated, oversized, versionless, or empty corpora) and only then
+// publishes the result. The previous snapshot is retained for Rollback.
+// On any failure the running corpus is untouched — a poisoned file on
+// disk costs a logged error, never an outage. Reload only reads
+// CorpusPath and leaves a rollout's side buffer alone (a prepared
+// corpus it supersedes goes stale through the generation check).
 //
 // Reloads are serialized; concurrent triggers (SIGHUP racing the admin
 // endpoint) queue rather than interleave.
 func (s *Server) Reload(ctx context.Context) (*snapshot, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if err := faultinject.Fire(ctx, faultinject.StageServeReload, s.cfg.CorpusPath); err != nil {
-		s.stats.reloadFailures.Add(1)
-		s.noteErrLocked(err)
-		return nil, &ReloadError{Path: s.cfg.CorpusPath, Err: err}
+	path := s.cfg.CorpusPath
+	if err := faultinject.Fire(ctx, faultinject.StageServeReload, path); err != nil {
+		return nil, s.rejectLocked(path, err)
 	}
-	corpus, err := extract.LoadFile(s.cfg.CorpusPath, s.corpusOpts...)
+	data, err := readCorpusFile(path)
 	if err != nil {
-		s.stats.reloadFailures.Add(1)
-		s.noteErrLocked(err)
-		return nil, &ReloadError{Path: s.cfg.CorpusPath, Err: err}
+		return nil, s.rejectLocked(path, err)
 	}
+	corpus, err := s.loadLocked(data, path)
+	if err != nil {
+		return nil, err
+	}
+	snap := s.publishLocked(corpus, path)
+	s.stats.reloads.Add(1)
+	return snap, nil
+}
+
+// readCorpusFile reads a corpus file up to the load cap; anything
+// longer is passed on one byte over the cap so loading rejects it.
+func readCorpusFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(io.LimitReader(f, maxRolloutBytes+1))
+}
+
+// loadLocked is the full-corpus load step Reload and a rollout prepare
+// share: data (JSON or HBC, sniffed) loads under the node's class
+// filter. A failure is counted, recorded for /-/status, and returned as
+// a ReloadError naming source. Callers hold reloadMu.
+func (s *Server) loadLocked(data []byte, source string) (*extract.Corpus, error) {
+	corpus, err := extract.Load(bytes.NewReader(data), s.corpusOpts...)
+	if err != nil {
+		return nil, s.rejectLocked(source, err)
+	}
+	return corpus, nil
+}
+
+// rejectLocked accounts a corpus that failed to read, load or apply.
+// Callers hold reloadMu.
+func (s *Server) rejectLocked(source string, err error) error {
+	s.stats.reloadFailures.Add(1)
+	s.noteErrLocked(err)
+	return &ReloadError{Path: source, Err: err}
+}
+
+// publishLocked is the one way a corpus starts serving: it wraps corpus
+// in a snapshot under a fresh generation, swaps it in, and retains the
+// snapshot it replaced for Rollback. Callers hold reloadMu.
+func (s *Server) publishLocked(corpus *extract.Corpus, source string) *snapshot {
 	snap := &snapshot{
 		corpus:     corpus,
-		source:     s.cfg.CorpusPath,
+		source:     source,
 		generation: s.generation.Add(1),
 		loadedAt:   time.Now(),
 	}
 	if old := s.state.Swap(snap); old != nil {
 		s.prev.Store(old)
 	}
-	s.stats.reloads.Add(1)
-	return snap, nil
+	return snap
 }
 
-// Rollback republishes the previous snapshot — the instant escape hatch
-// when a reload validated but turned out to be semantically wrong (a
-// stale or mislearned corpus). The rolled-back-from snapshot becomes
-// the new "previous", so a second rollback swaps forward again.
+// Rollback republishes the previous snapshot — the single-node escape
+// hatch when a reload validated but turned out to be semantically wrong
+// (a stale or mislearned corpus). It republishes under a fresh
+// generation, so consumers watching X-Hoiho-Generation see rollback as
+// a distinct transition, and the rolled-back-from snapshot becomes the
+// new "previous", so a second rollback swaps forward again. Rollback
+// does not rewrite CorpusPath: a restart or reload serves the file.
 func (s *Server) Rollback() (*snapshot, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -70,17 +118,7 @@ func (s *Server) Rollback() (*snapshot, error) {
 	if prev == nil {
 		return nil, ErrNoRollback
 	}
-	// Republish under a fresh generation number so consumers watching
-	// X-Hoiho-Generation see rollback as a distinct transition.
-	snap := &snapshot{
-		corpus:     prev.corpus,
-		source:     prev.source,
-		generation: s.generation.Add(1),
-		loadedAt:   time.Now(),
-	}
-	if old := s.state.Swap(snap); old != nil {
-		s.prev.Store(old)
-	}
+	snap := s.publishLocked(prev.corpus, prev.source)
 	s.stats.rollbacks.Add(1)
 	return snap, nil
 }

@@ -17,7 +17,8 @@ package serve
 //	           against its side buffer one last time, persists the
 //	           bytes over CorpusPath (atomic temp+rename, so a restart
 //	           boots this generation), and publishes the prepared
-//	           snapshot with the same atomic pointer swap as Reload.
+//	           corpus through publishLocked, the one publish step
+//	           Reload and Rollback share.
 //	abort    — the side buffer is dropped; serving state is untouched.
 //
 // Every step is serialized under reloadMu with Reload/Rollback, so the
@@ -25,7 +26,6 @@ package serve
 // interleave half-applied states.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -81,19 +81,14 @@ func (s *Server) PrepareCorpus(data []byte, epoch uint64) (fp string, gen uint64
 				s.noteRolloutLocked(epoch, "", "failed", err)
 				return "", 0, err
 			}
-			s.stats.reloadFailures.Add(1)
-			s.noteErrLocked(aerr)
 			s.noteRolloutLocked(epoch, "", "failed", aerr)
-			return "", 0, &ReloadError{Path: "(rollout delta)", Err: aerr}
+			return "", 0, s.rejectLocked("(rollout delta)", aerr)
 		}
 		corpus, data = applied, full
 	} else {
-		corpus, err = extract.Load(bytes.NewReader(data), s.corpusOpts...)
-		if err != nil {
-			s.stats.reloadFailures.Add(1)
-			s.noteErrLocked(err)
+		if corpus, err = s.loadLocked(data, "(rollout prepare)"); err != nil {
 			s.noteRolloutLocked(epoch, "", "failed", err)
-			return "", 0, &ReloadError{Path: "(rollout prepare)", Err: err}
+			return "", 0, err
 		}
 		data = append([]byte(nil), data...)
 	}
@@ -155,15 +150,7 @@ func (s *Server) CommitPrepared(wantFP string) (*snapshot, error) {
 		s.noteRolloutLocked(p.epoch, p.corpus.FingerprintString(), "failed", err)
 		return nil, &ReloadError{Path: s.cfg.CorpusPath, Err: err}
 	}
-	snap := &snapshot{
-		corpus:     p.corpus,
-		source:     s.cfg.CorpusPath,
-		generation: s.generation.Add(1),
-		loadedAt:   time.Now(),
-	}
-	if old := s.state.Swap(snap); old != nil {
-		s.prev.Store(old)
-	}
+	snap := s.publishLocked(p.corpus, s.cfg.CorpusPath)
 	s.prepared = nil
 	s.stats.commits.Add(1)
 	s.noteRolloutLocked(p.epoch, snap.corpus.FingerprintString(), "committed", nil)

@@ -250,6 +250,41 @@ func TestReloadAndRollback(t *testing.T) {
 	}
 }
 
+// TestReloadReadOnlyCorpus: Reload only reads the corpus file — it
+// succeeds on a read-only file in a read-only directory and leaves the
+// very same file in place (a rewrite by rename would change its
+// identity even where permissions do not bind).
+func TestReloadReadOnlyCorpus(t *testing.T) {
+	s, path := newTestServer(t, nil)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(path)
+	if err := os.Chmod(path, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o755) })
+
+	snap, err := s.Reload(context.Background())
+	if err != nil {
+		t.Fatalf("reload of a read-only corpus: %v", err)
+	}
+	if snap.generation != 2 || snap.corpus.FingerprintString() != fingerprintOf(t, "first") {
+		t.Errorf("reload published generation %d corpus %s", snap.generation, snap.corpus.FingerprintString())
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Error("reload rewrote the corpus file")
+	}
+}
+
 func TestCorruptReloadKeepsServing(t *testing.T) {
 	s, path := newTestServer(t, nil)
 	h := s.Handler()
