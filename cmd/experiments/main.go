@@ -5,11 +5,9 @@
 // Usage:
 //
 //	experiments [-scale 1.0] [-run all|figure5|figure6|table1|table2|section4|section5|figure7] [-o report.md]
-//	experiments -benchjson BENCH.json
-//	experiments -benchgate BENCH_PR6.json [-benchgate-tol 20]
 //
-// -cpuprofile/-memprofile write pprof profiles of whichever mode ran, so
-// perf PRs are measured rather than guessed.
+// -cpuprofile/-memprofile write pprof profiles of the run, so perf PRs
+// are measured rather than guessed.
 package main
 
 import (
@@ -43,9 +41,6 @@ func run(ctx context.Context, args []string) error {
 	scale := fs.Float64("scale", 1.0, "topology scale (1.0 = full reproduction)")
 	which := fs.String("run", "all", "experiment to run: all, figure5, figure6, table1, table2, section4, section5, figure7")
 	outPath := fs.String("o", "-", "output file ('-' for stdout)")
-	benchJSON := fs.String("benchjson", "", "instead of a report, benchmark the learn/extract hot paths and write JSON to this file ('-' for stdout)")
-	benchGate := fs.String("benchgate", "", "instead of a report, re-measure the extraction hot path and fail if it regressed against this recorded baseline JSON (the CI perf gate)")
-	benchGateTol := fs.Float64("benchgate-tol", 20, "ns/op regression tolerance for -benchgate, in percent")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -75,12 +70,6 @@ func run(ctx context.Context, args []string) error {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 			}
 		}()
-	}
-	if *benchJSON != "" {
-		return writeBenchJSON(*benchJSON)
-	}
-	if *benchGate != "" {
-		return runBenchGate(*benchGate, *benchGateTol)
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "-" {

@@ -11,10 +11,17 @@
 //	POST /extract                   newline-separated hostnames, batch (JSON)
 //	GET  /healthz                   liveness (200 while the process is up)
 //	GET  /readyz                    readiness (503 while draining or corpus-less)
-//	GET  /statusz                   serving snapshot identity + counters
+//	GET  /statusz                   the node's status document (JSON)
 //	POST /-/reload                  reload the corpus file (also: SIGHUP)
 //	POST /-/rollback                republish the previous corpus
+//	POST /-/rollout/prepare         stage a corpus or HBD delta (body) in the side buffer
+//	POST /-/rollout/validate        re-ack the staged corpus
+//	POST /-/rollout/commit          persist and publish it (?fingerprint= pins it)
+//	POST /-/rollout/abort           drop the side buffer
 //
+// The status document carries the serving snapshot's identity,
+// admission state, counters, the rollout side buffer, the last reload
+// error and the last rollout outcome; every admin reply returns it.
 // Every extraction response carries X-Hoiho-Corpus (content
 // fingerprint) and X-Hoiho-Generation headers identifying the exact
 // corpus snapshot that produced it.

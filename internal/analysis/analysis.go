@@ -164,8 +164,8 @@ func Default() Config {
 		},
 		// The PR 6 contract: after Precompile, per-hostname extraction and
 		// matching allocate nothing (the batch path budgets its result
-		// slice and worker closures explicitly). benchgate enforces this
-		// dynamically; hotalloc proves it statically.
+		// slice and worker closures explicitly). extract's TestBound*Allocs
+		// tests enforce this dynamically; hotalloc proves it statically.
 		ZeroAllocRoots: []string{
 			"(*hoiho/internal/extract.Corpus).Extract",
 			"(*hoiho/internal/extract.Corpus).ExtractBatch",

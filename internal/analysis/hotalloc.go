@@ -4,9 +4,9 @@ import (
 	"go/token"
 )
 
-// hotalloc statically proves the PR 6 contract the benchgate measures:
-// after Precompile, per-hostname extraction allocates nothing. It walks
-// the typed call graph from Config.ZeroAllocRoots — following method
+// hotalloc statically proves the contract extract's alloc-bound tests
+// measure: after Precompile, per-hostname extraction allocates nothing.
+// It walks the typed call graph from Config.ZeroAllocRoots — following method
 // values, interface dispatch, and closures, the edges the old
 // ident-based graph missed — and flags every allocation site
 // (allocSites in dataflow.go) in every reachable function.

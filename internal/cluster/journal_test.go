@@ -139,7 +139,7 @@ func TestRolloutDeltaEpoch(t *testing.T) {
 		if fp != fpFirst || prepared != "" {
 			t.Errorf("node %d: fp %s prepared %q after delta epoch", i, fp, prepared)
 		}
-		lr := n.srv.NodeStatusNow().LastRollout
+		lr := n.srv.StatusNow().LastRollout
 		if lr == nil || lr.Epoch != 2 || lr.Outcome != "committed" {
 			t.Errorf("node %d last_rollout = %+v, want committed epoch 2", i, lr)
 		}

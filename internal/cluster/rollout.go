@@ -382,12 +382,12 @@ func (rt *Router) memberFingerprints(ctx context.Context, members []*member) []s
 	return fps
 }
 
-// nodeStatus asks one node's /-/status for its live fingerprint and
+// nodeStatus asks one node's /statusz for its live fingerprint and
 // serving generation, bounded by ProbeTimeout.
 func (rt *Router) nodeStatus(ctx context.Context, m *member) (fp string, gen uint64, err error) {
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, m.endpoint("/-/status"), nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, m.endpoint("/statusz"), nil)
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: status of %s: %w", m.name, err)
 	}

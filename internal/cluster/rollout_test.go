@@ -13,11 +13,11 @@ import (
 	"hoiho/internal/faultinject"
 )
 
-// nodeFP asks a node's /-/status for its serving fingerprint and
+// nodeFP asks a node's Status for its serving fingerprint and
 // whether a prepared corpus is still staged.
 func nodeFP(t testing.TB, n *testNode) (fp string, preparedFP string) {
 	t.Helper()
-	st := n.srv.NodeStatusNow()
+	st := n.srv.StatusNow()
 	return st.Fingerprint, st.PreparedFingerprint
 }
 

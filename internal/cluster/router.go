@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,9 +15,15 @@ import (
 	"hoiho/internal/serve"
 )
 
-// maxProxyRespBytes caps a buffered upstream response. Extraction
-// responses are small; the cap only guards against a misbehaving node.
+// maxProxyRespBytes caps a buffered upstream response. A single answer
+// is small, but a batch inside the node's default 8 MiB body cap can
+// render well past it.
 const maxProxyRespBytes = 32 << 20
+
+// errResponseTooLarge is a node answer over maxProxyRespBytes. The
+// router answers it with a 502 naming the cap and does not fail over:
+// every node would render the same answer.
+var errResponseTooLarge = fmt.Errorf("cluster: upstream response exceeds the %d-byte cap", maxProxyRespBytes)
 
 // Handler returns the router's full HTTP surface. Extraction endpoints
 // shard and forward; health endpoints report the router's own view;
@@ -169,6 +176,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		case ar := <-replies:
 			pending--
 			m := candidates[ar.idx]
+			if errors.Is(ar.err, errResponseTooLarge) {
+				http.Error(w, ar.err.Error(), http.StatusBadGateway)
+				return
+			}
 			if ar.err != nil {
 				// Transport-level failure: the node is unreachable right
 				// now; demote it and fail over.
@@ -277,9 +288,12 @@ func (rt *Router) proxy(ctx context.Context, m *member, method, path, rawQuery s
 		return nil, &ForwardError{Node: m.name, Err: err}
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes+1))
 	if err != nil {
 		return nil, &ForwardError{Node: m.name, Err: err}
+	}
+	if len(b) > maxProxyRespBytes {
+		return nil, &ForwardError{Node: m.name, Err: errResponseTooLarge}
 	}
 	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b}, nil
 }

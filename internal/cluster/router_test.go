@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +111,40 @@ func TestRouterBatch(t *testing.T) {
 	rt.Handler().ServeHTTP(w2, httptest.NewRequest("POST", "/extract", strings.NewReader("\n\n")))
 	if w2.Code != 400 {
 		t.Errorf("empty batch = %d, want 400", w2.Code)
+	}
+}
+
+// TestRouterOversizedAnswer: a node answer one byte over the router's
+// response cap becomes a 502 naming the cap — never the cut-off prefix
+// under the node's 200 — and is not failed over, since every node
+// renders the same answer.
+func TestRouterOversizedAnswer(t *testing.T) {
+	var hits atomic.Int32
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return
+		}
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte(" "), maxProxyRespBytes+1))
+	})
+	nodes := make([]*testNode, 2)
+	for i := range nodes {
+		nodes[i] = &testNode{ts: httptest.NewServer(stub)}
+		t.Cleanup(nodes[i].ts.Close)
+	}
+	rt := newTestRouter(t, nodes, nil)
+
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/extract", strings.NewReader("a1.x.net\n")))
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("oversized answer relayed as %d (%d bytes), want 502", w.Code, w.Body.Len())
+	}
+	if want := strconv.Itoa(maxProxyRespBytes) + "-byte cap"; !strings.Contains(w.Body.String(), want) {
+		t.Errorf("502 body %q does not name the %s", w.Body.String(), want)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("oversized answer forwarded to %d nodes, want 1", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 package experiments
 
 // Synthetic benchmark workloads shared by the repo-level benchmarks
-// (bench_test.go) and cmd/experiments -benchjson, so the recorded perf
-// trajectory (BENCH_PR2.json and successors) always measures the same
+// (bench_test.go), the performance-bound tests in internal/extract and
+// internal/core, and perfbench, so every measurement sees the same
 // shapes.
 
 import (

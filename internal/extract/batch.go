@@ -22,7 +22,7 @@ const batchChunk = 512
 // processed so far are returned alongside ctx.Err(), and the untouched
 // tail is zero-valued (OK == false).
 func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string) ([]Result, error) {
-	out := make([]Result, len(hosts)) //hoiho:hotalloc one result slice per batch call, amortized over len(hosts) items; benchgate pins the 3 allocs/op batch budget
+	out := make([]Result, len(hosts)) //hoiho:hotalloc one result slice per batch call, amortized over len(hosts) items; TestBoundBatchSerialAllocs and TestBoundBatchParallelAllocs pin the batch budget
 	workers := c.workerCount(len(hosts))
 	nChunks := (len(hosts) + batchChunk - 1) / batchChunk
 	//hoiho:hotalloc one chunk-worker closure per batch call, not per hostname

@@ -65,7 +65,7 @@ type entry struct {
 // entry pre-armed by the binary corpus loader or a delta apply (eng
 // already set, before the corpus was shared) keeps that engine.
 func (e *entry) engine() *match.Engine {
-	//hoiho:hotalloc compile-once guard: the literal runs once per entry and does not escape on the armed fast path; benchgate pins 0 allocs/op after Precompile
+	//hoiho:hotalloc compile-once guard: the literal runs once per entry and does not escape on the armed fast path; TestBoundExtractAllocs pins 0 allocs/op after Precompile
 	e.once.Do(func() {
 		if e.eng == nil {
 			e.eng = match.Compile(e.nc.Regexes)

@@ -3,7 +3,7 @@ package serve
 // Delta-aware rollout prepare: an HBD patch applies against the live
 // corpus into the side buffer, a wrong-base patch nacks with the typed
 // base-mismatch signal (and the header the coordinator keys its
-// full-corpus fallback on), and every outcome lands in /-/status's
+// full-corpus fallback on), and every outcome lands in /statusz's
 // last_rollout so "never rolled out" and "rolled back" are
 // distinguishable at rest.
 
@@ -54,12 +54,12 @@ func TestPrepareDeltaCommits(t *testing.T) {
 	if w = doReq(t, h, "POST", "/-/rollout/commit?fingerprint="+fpSecond, ""); w.Code != 200 {
 		t.Fatalf("commit = %d: %s", w.Code, w.Body.String())
 	}
-	st := s.NodeStatusNow()
+	st := s.StatusNow()
 	if st.Fingerprint != fpSecond || st.Generation != 2 {
 		t.Errorf("after delta commit: fp %s gen %d, want %s gen 2", st.Fingerprint, st.Generation, fpSecond)
 	}
 	if st.LastRollout == nil {
-		t.Fatal("committed rollout missing from /-/status")
+		t.Fatal("committed rollout missing from /statusz")
 	}
 	if st.LastRollout.Epoch != 7 || st.LastRollout.Outcome != "committed" || st.LastRollout.Fingerprint != fpSecond {
 		t.Errorf("last_rollout = %+v, want epoch 7 committed %s", st.LastRollout, fpSecond)
@@ -91,7 +91,7 @@ func TestPrepareDeltaBaseMismatchNack(t *testing.T) {
 	if got := w.Header().Get("X-Hoiho-Rollout-Nack"); got != "base-mismatch" {
 		t.Errorf("nack header = %q, want base-mismatch", got)
 	}
-	st := s.NodeStatusNow()
+	st := s.StatusNow()
 	if st.Fingerprint != fpFirst || st.PreparedFingerprint != "" {
 		t.Errorf("nacked delta changed node state: fp %s prepared %q", st.Fingerprint, st.PreparedFingerprint)
 	}
@@ -122,7 +122,7 @@ func TestPrepareDeltaCorruptFailsClosed(t *testing.T) {
 	if w.Code == 200 {
 		t.Fatal("truncated delta prepared successfully")
 	}
-	st := s.NodeStatusNow()
+	st := s.StatusNow()
 	if st.Fingerprint != fpFirst || st.Generation != 1 || st.PreparedFingerprint != "" {
 		t.Errorf("corrupt deltas changed node state: %+v", st)
 	}
@@ -132,7 +132,7 @@ func TestLastRolloutDistinguishesAbortFromNever(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	h := s.Handler()
 
-	w := doReq(t, h, "GET", "/-/status", "")
+	w := doReq(t, h, "GET", "/statusz", "")
 	if strings.Contains(w.Body.String(), "last_rollout") {
 		t.Fatal("fresh node must not report a last_rollout")
 	}
@@ -142,8 +142,8 @@ func TestLastRolloutDistinguishesAbortFromNever(t *testing.T) {
 	if w := doReq(t, h, "POST", "/-/rollout/abort", ""); w.Code != 200 {
 		t.Fatal("abort failed")
 	}
-	w = doReq(t, h, "GET", "/-/status", "")
-	var st NodeStatus
+	w = doReq(t, h, "GET", "/statusz", "")
+	var st Status
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func readCorpusFile(path string) ([]byte, error) {
 
 // loadLocked is the full-corpus load step Reload and a rollout prepare
 // share: data (JSON or HBC, sniffed) loads under the node's class
-// filter. A failure is counted, recorded for /-/status, and returned as
+// filter. A failure is counted, recorded for /statusz, and returned as
 // a ReloadError naming source. Callers hold reloadMu.
 func (s *Server) loadLocked(data []byte, source string) (*extract.Corpus, error) {
 	corpus, err := extract.Load(bytes.NewReader(data), s.corpusOpts...)

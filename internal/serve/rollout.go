@@ -23,7 +23,8 @@ package serve
 //
 // Every step is serialized under reloadMu with Reload/Rollback, so the
 // rollout protocol and the single-node admin surface can never
-// interleave half-applied states.
+// interleave half-applied states. Every reply body is the node's
+// Status document; the acks' proof is in their headers.
 
 import (
 	"errors"
@@ -48,7 +49,7 @@ type preparedCorpus struct {
 	// refuses to publish over any other generation.
 	gen uint64
 	// epoch is the coordinator's rollout epoch, carried through to the
-	// last-rollout outcome so /-/status ties results to epochs.
+	// last-rollout outcome so /statusz ties results to epochs.
 	epoch uint64
 }
 
@@ -175,7 +176,7 @@ func (s *Server) AbortPrepared() bool {
 }
 
 // noteErrLocked records the most recent reload/prepare/commit failure
-// for /-/status. Callers hold reloadMu.
+// for /statusz. Callers hold reloadMu.
 func (s *Server) noteErrLocked(err error) {
 	s.lastErr = err.Error()
 	s.lastErrAt = time.Now()
@@ -192,7 +193,7 @@ func (s *Server) noteRolloutLocked(epoch uint64, fp, outcome string, err error) 
 }
 
 // RolloutOutcome is how the last rollout epoch that touched this node
-// ended. Its absence from /-/status means no rollout ever reached the
+// ended. Its absence from /statusz means no rollout ever reached the
 // node — operators and the anti-entropy sweep can tell "never rolled
 // out" from "rolled out and aborted", which a bare fingerprint cannot.
 type RolloutOutcome struct {
@@ -207,75 +208,6 @@ type RolloutOutcome struct {
 	// Error carries the failure when Outcome is "failed".
 	Error string    `json:"error,omitempty"`
 	At    time.Time `json:"at"`
-}
-
-// NodeStatus is the /-/status document: the node-state introspection
-// surface the cluster router (and operators) poll instead of scraping
-// response headers. Everything the rollout protocol proves through
-// X-Hoiho-Corpus/X-Hoiho-Generation is visible here at rest, plus the
-// side-buffer state and the last reload error.
-type NodeStatus struct {
-	Generation  uint64    `json:"generation"`
-	Fingerprint string    `json:"fingerprint"`
-	NCs         int       `json:"ncs"`
-	Source      string    `json:"source"`
-	LoadedAt    time.Time `json:"loaded_at"`
-	Draining    bool      `json:"draining"`
-
-	PreparedFingerprint string    `json:"prepared_fingerprint,omitempty"`
-	PreparedAt          time.Time `json:"prepared_at"`
-	PreparedGeneration  uint64    `json:"prepared_generation,omitempty"`
-
-	LastReloadError string    `json:"last_reload_error,omitempty"`
-	LastReloadAt    time.Time `json:"last_reload_at"`
-
-	// LastRollout is absent until a rollout touches this node.
-	LastRollout *RolloutOutcome `json:"last_rollout,omitempty"`
-
-	Reloads        uint64 `json:"reloads"`
-	ReloadFailures uint64 `json:"reload_failures"`
-	Rollbacks      uint64 `json:"rollbacks"`
-	Prepares       uint64 `json:"prepares"`
-	Commits        uint64 `json:"commits"`
-	Aborts         uint64 `json:"aborts"`
-}
-
-// NodeStatusNow assembles the current NodeStatus document.
-func (s *Server) NodeStatusNow() NodeStatus {
-	st := NodeStatus{
-		Draining:       s.Draining(),
-		Reloads:        s.stats.reloads.Load(),
-		ReloadFailures: s.stats.reloadFailures.Load(),
-		Rollbacks:      s.stats.rollbacks.Load(),
-		Prepares:       s.stats.prepares.Load(),
-		Commits:        s.stats.commits.Load(),
-		Aborts:         s.stats.aborts.Load(),
-	}
-	if snap := s.state.Load(); snap != nil {
-		st.Generation = snap.generation
-		st.Fingerprint = snap.corpus.FingerprintString()
-		st.NCs = snap.corpus.Len()
-		st.Source = snap.source
-		st.LoadedAt = snap.loadedAt
-	}
-	s.reloadMu.Lock()
-	if s.prepared != nil {
-		st.PreparedFingerprint = s.prepared.corpus.FingerprintString()
-		st.PreparedAt = s.prepared.at
-		st.PreparedGeneration = s.prepared.gen
-	}
-	st.LastReloadError = s.lastErr
-	st.LastReloadAt = s.lastErrAt
-	if s.lastRollout != nil {
-		o := *s.lastRollout
-		st.LastRollout = &o
-	}
-	s.reloadMu.Unlock()
-	return st
-}
-
-func (s *Server) handleNodeStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.NodeStatusNow())
 }
 
 // handlePrepare stages the corpus (or HBD delta) carried in the request
@@ -337,26 +269,22 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("rollout commit: generation %d, corpus %s", snap.generation, snap.corpus.FingerprintString())
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, s.snapshotStatus(snap))
+	writeJSON(w, http.StatusOK, s.status(snap))
 }
 
 func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
-	dropped := s.AbortPrepared()
-	if dropped {
+	if s.AbortPrepared() {
 		s.logf("rollout abort: prepared corpus dropped")
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"aborted": dropped})
+	writeJSON(w, http.StatusOK, s.StatusNow())
 }
 
 // ackPrepared stamps a prepare/validate ack with the side-buffer
-// identity headers.
+// identity headers, the ack's proof; the body is the node's Status.
 func (s *Server) ackPrepared(w http.ResponseWriter, fp string, gen uint64) {
 	w.Header().Set("X-Hoiho-Corpus", fp)
 	w.Header().Set("X-Hoiho-Generation", strconv.FormatUint(gen, 10))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"prepared_fingerprint": fp,
-		"generation":           gen,
-	})
+	writeJSON(w, http.StatusOK, s.StatusNow())
 }
 
 // maxRolloutBytes caps a shipped rollout corpus, matching extract.Load's

@@ -174,7 +174,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /extract", s.extraction(s.handleExtractBatch))
 	mux.HandleFunc("POST /-/reload", s.handleReload)
 	mux.HandleFunc("POST /-/rollback", s.handleRollback)
-	mux.HandleFunc("GET /-/status", s.handleNodeStatus)
 	mux.HandleFunc("POST /-/rollout/prepare", s.handlePrepare)
 	mux.HandleFunc("POST /-/rollout/validate", s.handleValidate)
 	mux.HandleFunc("POST /-/rollout/commit", s.handleCommit)
@@ -415,7 +414,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.logf("reload: generation %d, %d NCs, corpus %s",
 		snap.generation, snap.corpus.Len(), snap.corpus.FingerprintString())
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, s.snapshotStatus(snap))
+	writeJSON(w, http.StatusOK, s.status(snap))
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
@@ -426,11 +425,16 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("rollback: generation %d, corpus %s", snap.generation, snap.corpus.FingerprintString())
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, s.snapshotStatus(snap))
+	writeJSON(w, http.StatusOK, s.status(snap))
 }
 
-// Status is the /statusz document: the serving snapshot's identity plus
-// the daemon's monotonic counters.
+// Status is the node's one status document: GET /statusz, and the
+// body of every admin reply (reload, rollback, and each rollout phase).
+// It carries the serving snapshot's identity, admission state, the
+// monotonic counters, the rollout side buffer, the last reload error
+// and the last rollout outcome. The rollout's proof stays in the
+// X-Hoiho-Corpus/X-Hoiho-Generation headers; this body is the same
+// state at rest, for operators and the coordinator's status reads.
 type Status struct {
 	Source      string    `json:"source"`
 	Generation  uint64    `json:"generation"`
@@ -442,19 +446,37 @@ type Status struct {
 	Inflight int   `json:"inflight"`
 	Queued   int64 `json:"queued"`
 
-	Requests       uint64 `json:"requests"`
-	Served         uint64 `json:"served"`
-	Found          uint64 `json:"found"`
-	Shed           uint64 `json:"shed"`
-	Drained        uint64 `json:"drained"`
-	Deadline       uint64 `json:"deadline"`
-	Panics         uint64 `json:"panics"`
+	Requests uint64 `json:"requests"`
+	Served   uint64 `json:"served"`
+	Found    uint64 `json:"found"`
+	Shed     uint64 `json:"shed"`
+	Drained  uint64 `json:"drained"`
+	Deadline uint64 `json:"deadline"`
+	Panics   uint64 `json:"panics"`
+
 	Reloads        uint64 `json:"reloads"`
 	ReloadFailures uint64 `json:"reload_failures"`
 	Rollbacks      uint64 `json:"rollbacks"`
+	Prepares       uint64 `json:"prepares"`
+	Commits        uint64 `json:"commits"`
+	Aborts         uint64 `json:"aborts"`
+
+	PreparedFingerprint string    `json:"prepared_fingerprint,omitempty"`
+	PreparedAt          time.Time `json:"prepared_at"`
+	PreparedGeneration  uint64    `json:"prepared_generation,omitempty"`
+
+	LastReloadError string    `json:"last_reload_error,omitempty"`
+	LastReloadAt    time.Time `json:"last_reload_at"`
+
+	// LastRollout is absent until a rollout touches this node.
+	LastRollout *RolloutOutcome `json:"last_rollout,omitempty"`
 }
 
-func (s *Server) snapshotStatus(snap *snapshot) Status {
+// status assembles the Status document for snap (nil before the first
+// corpus loads). It takes reloadMu only for the side-buffer, last-error
+// and last-rollout fields, so it must never be called with reloadMu
+// held; admin handlers call it after the operation has released it.
+func (s *Server) status(snap *snapshot) Status {
 	st := Status{
 		Draining:       s.Draining(),
 		Inflight:       s.gate.inflight(),
@@ -469,6 +491,9 @@ func (s *Server) snapshotStatus(snap *snapshot) Status {
 		Reloads:        s.stats.reloads.Load(),
 		ReloadFailures: s.stats.reloadFailures.Load(),
 		Rollbacks:      s.stats.rollbacks.Load(),
+		Prepares:       s.stats.prepares.Load(),
+		Commits:        s.stats.commits.Load(),
+		Aborts:         s.stats.aborts.Load(),
 	}
 	if snap != nil {
 		st.Source = snap.source
@@ -477,12 +502,25 @@ func (s *Server) snapshotStatus(snap *snapshot) Status {
 		st.NCs = snap.corpus.Len()
 		st.LoadedAt = snap.loadedAt
 	}
+	s.reloadMu.Lock()
+	if s.prepared != nil {
+		st.PreparedFingerprint = s.prepared.corpus.FingerprintString()
+		st.PreparedAt = s.prepared.at
+		st.PreparedGeneration = s.prepared.gen
+	}
+	st.LastReloadError = s.lastErr
+	st.LastReloadAt = s.lastErrAt
+	if s.lastRollout != nil {
+		o := *s.lastRollout
+		st.LastRollout = &o
+	}
+	s.reloadMu.Unlock()
 	return st
 }
 
 // StatusNow returns the current Status document (the programmatic twin
 // of GET /statusz).
-func (s *Server) StatusNow() Status { return s.snapshotStatus(s.state.Load()) }
+func (s *Server) StatusNow() Status { return s.status(s.state.Load()) }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatusNow())

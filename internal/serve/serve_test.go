@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -312,9 +313,32 @@ func TestCorruptReloadKeepsServing(t *testing.T) {
 	}
 }
 
+// decodeStatus decodes a reply body as the node's Status document,
+// refusing unknown fields, so an ad hoc reply shape fails to decode.
+func decodeStatus(t testing.TB, w *httptest.ResponseRecorder) Status {
+	t.Helper()
+	dec := json.NewDecoder(w.Body)
+	dec.DisallowUnknownFields()
+	var st Status
+	if err := dec.Decode(&st); err != nil {
+		t.Fatalf("reply body does not decode as Status: %v", err)
+	}
+	return st
+}
+
+// TestStatusz walks GET /statusz through every field group of the
+// Status document — snapshot identity, admission, request counters,
+// reload and rollout counters, the prepared side buffer, the last
+// reload error and last_rollout — and checks that every admin reply
+// body decodes as the same document.
 func TestStatusz(t *testing.T) {
-	s, _ := newTestServer(t, nil)
+	s, path := newTestServer(t, func(c *Config) {
+		c.MaxInflight = 1
+		c.QueueWait = 5 * time.Second
+	})
 	h := s.Handler()
+	fpFirst := fingerprintOf(t, "first")
+	fpSecond := fingerprintOf(t, "second")
 	doReq(t, h, "GET", "/extract?host=as4-pod5.serve2.net", "")
 	doReq(t, h, "GET", "/extract?host=nomatch.serve2.net", "")
 
@@ -327,6 +351,121 @@ func TestStatusz(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("statusz missing %s:\n%s", want, body)
 		}
+	}
+	for _, absent := range []string{"prepared_fingerprint", "last_reload_error", "last_rollout"} {
+		if strings.Contains(body, absent) {
+			t.Errorf("fresh node reports %s:\n%s", absent, body)
+		}
+	}
+	st := decodeStatus(t, w)
+	if st.Fingerprint != fpFirst || st.Generation != 1 || st.NCs != nSuffixes || st.Source != path || st.LoadedAt.IsZero() {
+		t.Errorf("snapshot identity = %+v", st)
+	}
+	if st.Requests != 2 || st.Served != 2 || st.Found != 1 || st.Shed != 0 || st.Panics != 0 {
+		t.Errorf("request counters = %+v", st)
+	}
+	if st.Reloads != 1 || st.ReloadFailures != 0 || st.LastReloadError != "" || !st.LastReloadAt.IsZero() {
+		t.Errorf("fresh reload state = %+v", st)
+	}
+
+	// Admission: hold the one slot and park a second request in the
+	// queue; both show up before either is released.
+	if err := s.gate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() { queued <- s.gate.acquire(context.Background()) }()
+	for s.gate.waiting() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	st = decodeStatus(t, doReq(t, h, "GET", "/statusz", ""))
+	if st.Inflight != 1 || st.Queued != 1 || st.Draining {
+		t.Errorf("admission = inflight %d queued %d draining %v, want 1/1/false", st.Inflight, st.Queued, st.Draining)
+	}
+	s.gate.release()
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	s.gate.release()
+
+	// A failed reload surfaces its error and time while the old corpus
+	// keeps serving.
+	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if w := doReq(t, h, "POST", "/-/reload", ""); w.Code != 422 {
+		t.Fatalf("reload of corrupt file = %d, want 422", w.Code)
+	}
+	st = decodeStatus(t, doReq(t, h, "GET", "/statusz", ""))
+	if st.LastReloadError == "" || st.LastReloadAt.IsZero() {
+		t.Error("/statusz must carry the last reload error and its time")
+	}
+	if st.Fingerprint != fpFirst || st.ReloadFailures != 1 {
+		t.Errorf("after failed reload: fp %s failures %d", st.Fingerprint, st.ReloadFailures)
+	}
+
+	// Prepare: the reply and /statusz both show the side buffer.
+	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=5", corpusJSON("second"))
+	if w.Code != 200 {
+		t.Fatalf("prepare = %d: %s", w.Code, w.Body.String())
+	}
+	if st = decodeStatus(t, w); st.PreparedFingerprint != fpSecond || st.Fingerprint != fpFirst {
+		t.Errorf("prepare reply = %+v, want %s prepared over %s", st, fpSecond, fpFirst)
+	}
+	st = decodeStatus(t, doReq(t, h, "GET", "/statusz", ""))
+	if st.PreparedFingerprint != fpSecond || st.PreparedGeneration != 1 || st.PreparedAt.IsZero() || st.Prepares != 1 {
+		t.Errorf("side buffer = %+v, want %s prepared over generation 1", st, fpSecond)
+	}
+
+	// Abort: the reply shows the side buffer dropped and the outcome.
+	w = doReq(t, h, "POST", "/-/rollout/abort", "")
+	if w.Code != 200 {
+		t.Fatalf("abort = %d", w.Code)
+	}
+	st = decodeStatus(t, w)
+	if st.PreparedFingerprint != "" || st.Aborts != 1 {
+		t.Errorf("abort reply = %+v, want no side buffer and 1 abort", st)
+	}
+	if lr := st.LastRollout; lr == nil || lr.Epoch != 5 || lr.Outcome != "aborted" || lr.Fingerprint != fpSecond {
+		t.Errorf("last_rollout after abort = %+v", lr)
+	}
+
+	// Prepare, validate, commit: every reply is a Status, and the
+	// commit reply names the published snapshot.
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=6", corpusJSON("second")); w.Code != 200 {
+		t.Fatalf("prepare = %d", w.Code)
+	}
+	w = doReq(t, h, "POST", "/-/rollout/validate", "")
+	if st = decodeStatus(t, w); w.Code != 200 || st.PreparedFingerprint != fpSecond {
+		t.Errorf("validate = %d %+v", w.Code, st)
+	}
+	w = doReq(t, h, "POST", "/-/rollout/commit?fingerprint="+fpSecond, "")
+	if w.Code != 200 {
+		t.Fatalf("commit = %d: %s", w.Code, w.Body.String())
+	}
+	st = decodeStatus(t, w)
+	if st.Fingerprint != fpSecond || st.Generation != 2 || st.Commits != 1 || st.PreparedFingerprint != "" {
+		t.Errorf("commit reply = %+v", st)
+	}
+	if lr := st.LastRollout; lr == nil || lr.Epoch != 6 || lr.Outcome != "committed" {
+		t.Errorf("last_rollout after commit = %+v", lr)
+	}
+
+	// Reload and rollback replies are the same document.
+	w = doReq(t, h, "POST", "/-/reload", "")
+	if st = decodeStatus(t, w); w.Code != 200 || st.Generation != 3 || st.Reloads != 2 {
+		t.Errorf("reload = %d %+v", w.Code, st)
+	}
+	w = doReq(t, h, "POST", "/-/rollback", "")
+	if st = decodeStatus(t, w); w.Code != 200 || st.Generation != 4 || st.Rollbacks != 1 {
+		t.Errorf("rollback = %d %+v", w.Code, st)
+	}
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st = decodeStatus(t, doReq(t, h, "GET", "/statusz", "")); !st.Draining {
+		t.Error("/statusz must report draining after Drain")
 	}
 }
 
