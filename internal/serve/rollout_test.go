@@ -2,8 +2,8 @@ package serve
 
 // Node-side rollout protocol tests: the side buffer's lifecycle
 // (prepare → validate → commit/abort), its staleness and mismatch
-// guards, the admin reply bodies, and the jittered
-// Retry-After hint.
+// guards, the admin reply bodies, the node status the coordinator
+// reads, and the jittered Retry-After hint.
 
 import (
 	"context"
@@ -170,6 +170,41 @@ func TestAbortIdempotent(t *testing.T) {
 	st := s.StatusNow()
 	if st.Prepares != 1 || st.Aborts != 1 {
 		t.Errorf("counters prepares=%d aborts=%d, want 1/1", st.Prepares, st.Aborts)
+	}
+}
+
+// TestNodeStatusEndpoint: the rollout coordinator reads a node through
+// GET /statusz, so a failed reload must show there, with its time,
+// while the old corpus keeps serving.
+func TestNodeStatusEndpoint(t *testing.T) {
+	s, path := newTestServer(t, nil)
+	h := s.Handler()
+	fpFirst := fingerprintOf(t, "first")
+
+	w := doReq(t, h, "GET", "/statusz", "")
+	if w.Code != 200 {
+		t.Fatalf("GET /statusz = %d", w.Code)
+	}
+	st := decodeStatus(t, w)
+	if st.Fingerprint != fpFirst || st.Generation != 1 || st.NCs != nSuffixes {
+		t.Errorf("status = %+v", st)
+	}
+	if st.LastReloadError != "" {
+		t.Errorf("fresh server reports a reload error: %q", st.LastReloadError)
+	}
+
+	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if w := doReq(t, h, "POST", "/-/reload", ""); w.Code != 422 {
+		t.Fatalf("reload of corrupt file = %d, want 422", w.Code)
+	}
+	st = decodeStatus(t, doReq(t, h, "GET", "/statusz", ""))
+	if st.LastReloadError == "" || st.LastReloadAt.IsZero() {
+		t.Error("/statusz must carry the last reload error and its time")
+	}
+	if st.Fingerprint != fpFirst || st.ReloadFailures != 1 {
+		t.Errorf("after failed reload: fp %s failures %d", st.Fingerprint, st.ReloadFailures)
 	}
 }
 
