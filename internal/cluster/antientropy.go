@@ -21,10 +21,10 @@ package cluster
 // prepare.
 
 import (
-	"bytes"
 	"context"
 	"time"
 
+	"hoiho/internal/corpusbin"
 	"hoiho/internal/extract"
 	"hoiho/internal/faultinject"
 )
@@ -70,8 +70,8 @@ func (rt *Router) antiEntropySweep(ctx context.Context) {
 	prev, _ := rt.journal.readPrev()
 	prevFP := ""
 	if prev != nil {
-		if c, err := extract.Load(bytes.NewReader(prev)); err == nil {
-			prevFP = c.FingerprintString()
+		if fp, err := corpusbin.PeekFingerprint(prev); err == nil {
+			prevFP = extract.FormatFingerprint(fp)
 		}
 	}
 
@@ -106,21 +106,22 @@ func (rt *Router) antiEntropySweep(ctx context.Context) {
 	}
 }
 
-// buildRepairDelta diffs the prev corpus into the committed one; nil on
-// any failure (the sweep falls back to full-corpus repairs).
+// buildRepairDelta diffs the prev corpus into the committed one on
+// records, through the encoder epoch planning uses; nil on any failure
+// (the sweep falls back to full-corpus repairs).
 func (rt *Router) buildRepairDelta(prev, committed []byte) []byte {
-	prevC, err := extract.Load(bytes.NewReader(prev))
+	prevBase, err := loadBase(prev)
 	if err != nil {
 		return nil
 	}
-	commC, err := extract.Load(bytes.NewReader(committed))
+	commRecs, err := corpusRecords(committed)
 	if err != nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := extract.Diff(prevC, commC, &buf); err != nil {
+	enc, err := corpusbin.EncodeTarget(prevBase.DeltaBase, commRecs)
+	if err != nil {
 		rt.logf("anti-entropy: prev→committed diff failed: %v", err)
 		return nil
 	}
-	return buf.Bytes()
+	return enc.Delta
 }

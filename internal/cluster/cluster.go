@@ -148,6 +148,10 @@ type Router struct {
 	// restarts.
 	journal *journal
 	epoch   atomic.Uint64
+	// base caches the journal's committed corpus as a delta base
+	// (plan.go); guarded by adminMu, and nil until an epoch first
+	// needs it.
+	base *committedBase
 
 	// runCtx is Start's context; probe loops for members joining later
 	// derive from it so one cancellation stops everything.

@@ -25,10 +25,15 @@ package cluster
 // (the last committed target — the delta base for the next epoch and
 // the anti-entropy repair source), and prev.corpus (the previously
 // committed corpus, rotated on commit — the delta base for repairing a
-// node that missed exactly one epoch). Corpus files are rotated by
-// rename *before* the committed record is written: if the coordinator
-// dies between the two, the state file still says commit and resume
-// rolls forward onto the already-rotated committed.corpus.
+// node that missed exactly one epoch). The coordinator also keeps the
+// committed corpus in memory as a delta base (plan.go): an epoch that
+// commits installs its target's key index as the next base, and every
+// epoch checks the cache against committed.corpus byte for byte, so the
+// file stays the authority — a restarted coordinator, or one whose file
+// was replaced, decodes it lazily on first use. Corpus files are
+// rotated by rename *before* the committed record is written: if the
+// coordinator dies between the two, the state file still says commit
+// and resume rolls forward onto the already-rotated committed.corpus.
 //
 // The faultinject stage cluster.journal fires inside record, keyed by
 // the phase about to become durable, and it fires on the Rollout

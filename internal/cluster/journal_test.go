@@ -134,6 +134,9 @@ func TestRolloutDeltaEpoch(t *testing.T) {
 	if !strings.Contains(logs.String(), "members eligible") {
 		t.Error("delta planning left no trace in the coordinator log")
 	}
+	if !strings.Contains(logs.String(), "committed "+fpFirst+" on 3 nodes (3 via delta); plan: base ") {
+		t.Errorf("the epoch's commit line carries no plan step times:\n%s", logs)
+	}
 	for i, n := range nodes {
 		fp, prepared := nodeFP(t, n)
 		if fp != fpFirst || prepared != "" {
@@ -435,6 +438,50 @@ func TestRolloutCommitFailureJournaled(t *testing.T) {
 	if n := rt.stats.repairs.Load() + rt.stats.repairFails.Load(); n != 0 {
 		t.Errorf("sweep after an in-epoch repair attempted %d repairs, want 0", n)
 	}
+	for _, n := range nodes {
+		requireServesAndHolds(t, n, fpSecond)
+	}
+}
+
+// TestRolloutCommitSurvivesCallerCancel: an operator who hangs up after
+// the commit record is journaled cannot split the fleet between the old
+// corpus and the target. The commit calls, held in flight by a stall on
+// every node, outlive the cancellation, and every node ends on the
+// target.
+func TestRolloutCommitSurvivesCallerCancel(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	rt, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
+	fpSecond := fingerprintOf(t, "second")
+
+	var rules []faultinject.Rule
+	for _, n := range nodes {
+		rules = append(rules, faultinject.Rule{Stage: faultinject.StageClusterRollout, Key: "commit:" + n.url(),
+			Kind: faultinject.KindStall, Prob: 1, Stall: 300 * time.Millisecond})
+	}
+	restore := faultinject.Activate(&faultinject.Plan{Rules: rules})
+	defer restore()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if st, _ := rt.journal.load(); st != nil && st.Phase == phaseCommit {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the epoch never journaled its commit record")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("rollout whose caller hung up during commit = %v, want success", err)
+	}
+	requireCommitted(t, rt, fpSecond)
 	for _, n := range nodes {
 		requireServesAndHolds(t, n, fpSecond)
 	}

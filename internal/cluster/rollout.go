@@ -174,7 +174,11 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 
 	// Phase 3: commit, pinned to the agreed fingerprint. The target is
 	// committed from here on: a node whose commit fails is repaired
-	// forward, never rolled back.
+	// forward, never rolled back. The operator hanging up must not
+	// split the fleet between the old corpus and the target, so the
+	// rest of the epoch runs detached from ctx's cancellation, each
+	// call still bounded by RolloutPhaseTimeout.
+	ctx = context.WithoutCancel(ctx)
 	coms := rt.phaseFanout(ctx, "commit", members, func(pctx context.Context, m *member) (string, uint64, error) {
 		return rt.rolloutPost(pctx, "commit", m, "/-/rollout/commit", "fingerprint="+fp, nil)
 	})
@@ -202,6 +206,8 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 	if rt.journal != nil {
 		if err := rt.journal.promoteEpoch(); err != nil {
 			rt.logf("rollout: epoch %d corpus rotation: %v", plan.epoch, err)
+		} else {
+			rt.base = plan.next
 		}
 	}
 	if err := rt.journalPhase(ctx, plan, phaseCommitted, fp); err != nil {
@@ -216,7 +222,7 @@ func (rt *Router) rolloutLocked(ctx context.Context, data []byte, holdValidate t
 	for i, a := range coms {
 		res.Nodes[i] = NodeCommit{Node: a.node, Generation: a.gen}
 	}
-	rt.logf("rollout: epoch %d committed %s on %d nodes (%d via delta)", plan.epoch, fp, len(coms), len(plan.useDelta))
+	rt.logf("rollout: epoch %d committed %s on %d nodes (%d via delta); plan: %s", plan.epoch, fp, len(coms), len(plan.useDelta), plan.steps)
 	return res, nil
 }
 
@@ -231,6 +237,28 @@ type epochPlan struct {
 	delta    []byte // nil when no delta applies this epoch
 	useDelta map[string]bool
 	nodes    []journalNode
+	// next is the target as the committed base the following epoch
+	// diffs against, installed once this epoch commits; nil without a
+	// journal.
+	next  *committedBase
+	steps planSteps
+}
+
+// planSteps times the coordinator's own work in an epoch, reported on
+// the commit log line so an operator can see where an epoch's time went
+// without a profiler.
+type planSteps struct {
+	base    time.Duration // read committed.corpus, check or load the cached base
+	decode  time.Duration // reduce the posted corpus to canonical records
+	encode  time.Duration // the one encoder pass: full bytes and patch
+	write   time.Duration // write epoch.corpus
+	journal time.Duration // every journal record of the epoch
+}
+
+func (s planSteps) String() string {
+	ms := func(d time.Duration) string { return strconv.FormatFloat(float64(d)/1e6, 'f', 1, 64) }
+	return "base " + ms(s.base) + "ms, decode " + ms(s.decode) + "ms, encode+diff " + ms(s.encode) +
+		"ms, epoch corpus " + ms(s.write) + "ms, journal " + ms(s.journal) + "ms"
 }
 
 // deltaFor is the HBD patch planned for the named member, nil when it
@@ -245,11 +273,12 @@ func (p *epochPlan) deltaFor(name string) []byte {
 // planEpoch allocates the epoch number and decides per-node payloads.
 // Without a journal the plan is the legacy one — ship the operator's
 // bytes to everyone (an HBD patch is refused: there is no durable base
-// to resolve it against). With a journal the target is normalized to
-// canonical HBC bytes (resolving an HBD patch against the committed
-// corpus when that is what the operator posted), persisted as the
-// epoch corpus, and diffed against the committed base; members whose
-// reported live fingerprint equals the base's get the patch.
+// to resolve it against). With a journal the target is reduced to
+// canonical records and encoded once (planTarget) against the committed
+// base — the in-memory cache when its bytes still equal
+// committed.corpus, the file decoded otherwise — into canonical HBC
+// bytes, persisted as the epoch corpus, and the HBD patch; members
+// whose reported live fingerprint equals the base's get the patch.
 func (rt *Router) planEpoch(ctx context.Context, members []*member, data []byte) (*epochPlan, error) {
 	plan := &epochPlan{
 		epoch:    rt.epoch.Add(1),
@@ -267,51 +296,28 @@ func (rt *Router) planEpoch(ctx context.Context, members []*member, data []byte)
 		return plan, nil
 	}
 
+	start := time.Now()
 	committed, err := rt.journal.readCommitted()
 	if err != nil {
 		return nil, err
 	}
-	var base *extract.Corpus
-	if committed != nil {
-		if base, err = extract.Load(bytes.NewReader(committed)); err != nil {
-			// A damaged committed corpus must not block rollouts; it
-			// only costs this epoch its deltas.
-			rt.logf("rollout: committed corpus unreadable, full sends this epoch: %v", err)
-			base = nil
-		}
+	base, err := rt.committedBaseFor(committed)
+	if err != nil {
+		// A damaged committed corpus must not block rollouts; it
+		// only costs this epoch its deltas.
+		rt.logf("rollout: committed corpus unreadable, full sends this epoch: %v", err)
 	}
-	var target *extract.Corpus
-	if corpusbin.IsHBD(data) {
-		if base == nil {
-			return nil, fmt.Errorf("cluster: rollout: HBD delta posted but the journal holds no committed corpus to patch")
-		}
-		applied, full, err := extract.ApplyDelta(base, data)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: rollout: %w", err)
-		}
-		target, plan.full, plan.delta = applied, full, data
-	} else {
-		if target, err = extract.Load(bytes.NewReader(data)); err != nil {
-			return nil, fmt.Errorf("cluster: rollout: target corpus does not load: %w", err)
-		}
-		var buf bytes.Buffer
-		if err := target.SaveBinary(&buf); err != nil {
-			return nil, fmt.Errorf("cluster: rollout: %w", err)
-		}
-		plan.full = buf.Bytes()
-		if base != nil && base.FingerprintString() != target.FingerprintString() {
-			var db bytes.Buffer
-			if err := extract.Diff(base, target, &db); err != nil {
-				rt.logf("rollout: diff against committed base failed, full sends this epoch: %v", err)
-			} else {
-				plan.delta = db.Bytes()
-			}
-		}
+	plan.steps.base = time.Since(start)
+	tp, err := planTarget(base, data)
+	if err != nil {
+		return nil, err
 	}
-	plan.targetFP = target.FingerprintString()
+	plan.full, plan.delta, plan.next = tp.full, tp.delta, tp.next
+	plan.targetFP = extract.FormatFingerprint(tp.fp)
+	plan.steps.decode, plan.steps.encode = tp.decode, tp.encode
 
 	if plan.delta != nil {
-		baseFP := base.FingerprintString()
+		baseFP := extract.FormatFingerprint(base.Fingerprint)
 		fps := rt.memberFingerprints(ctx, members)
 		for i, m := range members {
 			if fps[i] == baseFP {
@@ -322,9 +328,11 @@ func (rt *Router) planEpoch(ctx context.Context, members []*member, data []byte)
 		rt.logf("rollout: epoch %d: delta %d bytes vs full %d bytes, %d/%d members eligible",
 			plan.epoch, len(plan.delta), len(plan.full), len(plan.useDelta), len(members))
 	}
+	start = time.Now()
 	if err := rt.journal.writeEpochCorpus(plan.full); err != nil {
 		return nil, err
 	}
+	plan.steps.write = time.Since(start)
 	return plan, nil
 }
 
@@ -338,6 +346,8 @@ func (rt *Router) journalPhase(ctx context.Context, plan *epochPlan, phase, fp s
 	if fp == "" {
 		fp = plan.targetFP
 	}
+	start := time.Now()
+	defer func() { plan.steps.journal += time.Since(start) }()
 	return rt.journal.record(ctx, &journalState{
 		Epoch: plan.epoch, TargetFP: fp, Phase: phase, Nodes: plan.nodes,
 	})
@@ -471,9 +481,12 @@ func (rt *Router) rolloutPost(ctx context.Context, phase string, m *member, path
 
 // abortNode drops one node's side buffer. No faultinject hook here: the
 // abort path is the protocol's safety net and must stay maximally
-// reliable even under injected chaos.
+// reliable even under injected chaos, so it also ignores ctx's
+// cancellation — an epoch aborted because its caller went away still
+// clears every side buffer — and is bounded by RolloutPhaseTimeout
+// alone.
 func (rt *Router) abortNode(ctx context.Context, m *member) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.RolloutPhaseTimeout)
+	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rt.cfg.RolloutPhaseTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, m.endpoint("/-/rollout/abort"), nil)
 	if err != nil {

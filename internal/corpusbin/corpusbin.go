@@ -122,12 +122,25 @@ type NCRecord struct {
 }
 
 // Decoded is the result of a successful Decode: the conventions in
-// encoded order and, aligned with them, each one's reconstructed match
-// engine, ready to serve without recompilation.
+// encoded order and, aligned with them, each one's wire programs and
+// reconstructed match engine, ready to serve without recompilation.
+// The programs let a caller re-encode or diff the corpus (Records)
+// without building an index over it.
 type Decoded struct {
 	NCs         []*core.NC
+	Programs    [][]match.WireProgram
 	Engines     []*match.Engine
 	Fingerprint uint64
+}
+
+// Records pairs each decoded convention with its wire programs, in
+// encoded order: the input Encode and EncodeTarget take.
+func (d *Decoded) Records() []NCRecord {
+	recs := make([]NCRecord, len(d.NCs))
+	for i, nc := range d.NCs {
+		recs[i] = NCRecord{NC: nc, Programs: d.Programs[i]}
+	}
+	return recs
 }
 
 // stringTable interns strings in first-use order during encoding.
@@ -150,43 +163,64 @@ func (t *stringTable) ref(s string) uint64 {
 // (callers pass suffix-sorted lists, matching the JSON form), and every
 // walk below is deterministic, so equal corpora encode byte-identically.
 func Encode(w io.Writer, recs []NCRecord) error {
+	data, err := marshal(recs)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("corpusbin: encode: %w", err)
+	}
+	return nil
+}
+
+// marshal returns the complete HBC file for recs: header, string table,
+// records. Encode, the delta encoder's target pass and ApplyDelta all
+// produce their full corpus bytes here.
+func marshal(recs []NCRecord) ([]byte, error) {
 	// Presized for the common shape (a few strings and ~100 encoded
 	// bytes per record): map rehashes and body regrowth were measurable
 	// on the delta-apply path, which re-encodes the full target file.
 	tab := &stringTable{ids: make(map[string]uint64, 4*len(recs))}
 	body := make([]byte, 0, 4096+128*len(recs))
 	body = binary.AppendUvarint(body, uint64(len(recs)))
+	ncs := make([]*core.NC, len(recs))
 	for i, rec := range recs {
 		var err error
 		body, err = appendRecord(body, tab, i, rec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-	}
-
-	payload := make([]byte, 0, len(body)+16*len(tab.strs))
-	payload = binary.AppendUvarint(payload, uint64(len(tab.strs)))
-	for _, s := range tab.strs {
-		payload = binary.AppendUvarint(payload, uint64(len(s)))
-		payload = append(payload, s...)
-	}
-	payload = append(payload, body...)
-
-	ncs := make([]*core.NC, len(recs))
-	for i, rec := range recs {
 		ncs[i] = rec.NC
 	}
-	hdr := make([]byte, headerLen)
-	copy(hdr, Magic[:])
-	binary.LittleEndian.PutUint64(hdr[4:], core.FingerprintNCs(ncs))
-	binary.LittleEndian.PutUint64(hdr[12:], checksum(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("corpusbin: encode: %w", err)
+
+	out := make([]byte, headerLen, headerLen+strTableLen(tab.strs)+len(body))
+	copy(out, Magic[:])
+	out = appendStrTable(out, tab.strs)
+	out = append(out, body...)
+	binary.LittleEndian.PutUint64(out[4:], core.FingerprintNCs(ncs))
+	binary.LittleEndian.PutUint64(out[12:], checksum(out[headerLen:]))
+	return out, nil
+}
+
+// appendStrTable appends the interned string table that opens every HBC
+// and HBD payload: count, then per string its length and bytes.
+func appendStrTable(dst []byte, strs []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(strs)))
+	for _, s := range strs {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("corpusbin: encode: %w", err)
+	return dst
+}
+
+// strTableLen is the encoded size of appendStrTable's output.
+func strTableLen(strs []string) int {
+	var scratch [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(scratch[:], uint64(len(strs)))
+	for _, s := range strs {
+		n += binary.PutUvarint(scratch[:], uint64(len(s))) + len(s)
 	}
-	return nil
+	return n
 }
 
 // appendRecord serializes one NC record — suffix ref, class, single
@@ -251,9 +285,10 @@ func appendRegex(body []byte, tab *stringTable, suffix string, j int, r *rex.Reg
 		flags |= rexFlagLeftOpen
 	}
 	body = append(body, flags)
-	toks := r.Tokens()
-	body = binary.AppendUvarint(body, uint64(len(toks)))
-	for _, t := range toks {
+	n := r.NumTokens()
+	body = binary.AppendUvarint(body, uint64(n))
+	for k := 0; k < n; k++ {
+		t := r.Token(k)
 		if t.Kind > rex.KindCaptureAlpha {
 			return nil, fmt.Errorf("corpusbin: encode: nc %s: regex %d: unknown token kind %d", suffix, j, t.Kind)
 		}
@@ -452,6 +487,7 @@ func Decode(data []byte) (*Decoded, error) {
 	}
 	out := &Decoded{
 		NCs:         make([]*core.NC, 0, nNCs),
+		Programs:    make([][]match.WireProgram, 0, nNCs),
 		Engines:     make([]*match.Engine, 0, nNCs),
 		Fingerprint: wantFP,
 	}
@@ -461,6 +497,7 @@ func Decode(data []byte) (*Decoded, error) {
 			return nil, fmt.Errorf("corpusbin: decode: nc %d: %w", i, err)
 		}
 		out.NCs = append(out.NCs, rec.NC)
+		out.Programs = append(out.Programs, rec.Programs)
 		out.Engines = append(out.Engines, eng)
 	}
 	if d.remaining() != 0 {
@@ -709,6 +746,14 @@ func (d *decoder) decodeProgram(table []string) (match.WireProgram, error) {
 			nAlts, err := d.count("alt list", 1, 16)
 			if err != nil {
 				return p, err
+			}
+			if nAlts == 0 {
+				// EngineFromWire reads an empty alternation as "(?:)";
+				// decoding it the same way keeps the decoded programs
+				// equal to the engine's Wire(), so re-encoding them
+				// yields what a save of the loaded corpus would.
+				o.Alts = []string{""}
+				break
 			}
 			o.Alts = make([]string, 0, nAlts)
 			for a := 0; a < nAlts; a++ {

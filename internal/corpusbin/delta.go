@@ -38,7 +38,6 @@
 package corpusbin
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -113,95 +112,173 @@ func PeekDeltaChain(data []byte) (DeltaChain, error) {
 	}, nil
 }
 
-// canonicalRecord encodes one record with a private string table —
-// table then body, the same mini-payload layout as a one-record corpus
-// — yielding a byte string two records share iff they encode
-// identically. Diffing compares these, so any change to a record (an
-// eval counter, a program op, a regex token) makes it "different" even
-// when the NC fingerprint would not notice.
-func canonicalRecord(i int, rec NCRecord) ([]byte, error) {
-	tab := &stringTable{ids: make(map[string]uint64)}
-	body, err := appendRecord(nil, tab, i, rec)
+// DeltaBase is a corpus indexed as the base of HBD deltas: its
+// fingerprint, its record count, and each record's canonical key mapped
+// to its first position. It keeps no records, so holding one across
+// epochs costs the keys alone. Build one with IndexBase, or take an
+// earlier EncodeTarget's Target to chain corpora without indexing
+// twice. A DeltaBase is read-only once built and safe to share.
+type DeltaBase struct {
+	Fingerprint uint64
+	count       int
+	index       map[string]int
+}
+
+// keyIndexer collects the canonical keys of a record walk. A record's
+// key is the record encoded with a private string table — table then
+// body, the same mini-payload layout as a one-record corpus — so two
+// records share a key iff they encode identically: any change to a
+// record (an eval counter, a program op, a regex token) makes it
+// "different" even when the NC fingerprint would not notice. The
+// private table and body buffer are reused for every record, and the
+// keys go into one arena, so a finished index costs one string and one
+// map however many records it holds.
+type keyIndexer struct {
+	tab   stringTable
+	body  []byte
+	arena []byte
+	ends  []int
+}
+
+func newKeyIndexer(n int) *keyIndexer {
+	return &keyIndexer{
+		tab:   stringTable{ids: make(map[string]uint64)},
+		arena: make([]byte, 0, 192*n),
+		ends:  make([]int, 0, n),
+	}
+}
+
+// add appends record i's key and returns it, valid until the next add.
+func (x *keyIndexer) add(i int, rec NCRecord) ([]byte, error) {
+	clear(x.tab.ids)
+	x.tab.strs = x.tab.strs[:0]
+	body, err := appendRecord(x.body[:0], &x.tab, i, rec)
 	if err != nil {
 		return nil, err
 	}
-	key := binary.AppendUvarint(nil, uint64(len(tab.strs)))
-	for _, s := range tab.strs {
-		key = binary.AppendUvarint(key, uint64(len(s)))
-		key = append(key, s...)
-	}
-	return append(key, body...), nil
+	x.body = body
+	start := len(x.arena)
+	x.arena = append(appendStrTable(x.arena, x.tab.strs), body...)
+	x.ends = append(x.ends, len(x.arena))
+	return x.arena[start:], nil
 }
 
-// EncodeDelta diffs target against base and writes the HBD patch that
-// rebuilds target from base. Both walks are deterministic, so equal
-// (base, target) pairs encode byte-identical deltas. The degenerate
+func (x *keyIndexer) finish(fp uint64) *DeltaBase {
+	keys := string(x.arena)
+	index := make(map[string]int, len(x.ends))
+	start := 0
+	for i, end := range x.ends {
+		if _, ok := index[keys[start:end]]; !ok {
+			index[keys[start:end]] = i
+		}
+		start = end
+	}
+	return &DeltaBase{Fingerprint: fp, count: len(x.ends), index: index}
+}
+
+// IndexBase indexes recs, in order, as a delta base.
+func IndexBase(recs []NCRecord) (*DeltaBase, error) {
+	ix := newKeyIndexer(len(recs))
+	ncs := make([]*core.NC, len(recs))
+	for i, rec := range recs {
+		if _, err := ix.add(i, rec); err != nil {
+			return nil, fmt.Errorf("corpusbin: index base: %w", err)
+		}
+		ncs[i] = rec.NC
+	}
+	return ix.finish(core.FingerprintNCs(ncs)), nil
+}
+
+// Encoded is one encoder pass over a target corpus.
+type Encoded struct {
+	// Full is the complete HBC file of the target, byte-identical to
+	// Encode's output.
+	Full []byte
+	// Delta is the HBD patch from the pass's base to the target; nil
+	// when the pass had no base.
+	Delta []byte
+	// Target is the target indexed as a delta base, ready to diff the
+	// next corpus against.
+	Target *DeltaBase
+}
+
+// EncodeTarget encodes target once and, when base is non-nil, diffs it
+// against base in the same pass: each target record's canonical key is
+// looked up in the base index, a hit becoming a copy op and a miss an
+// inline insert. The full bytes it returns are the bytes whose checksum
+// the delta's header pins. Both walks are deterministic, so equal
+// (base, target) pairs encode byte-identical results. The degenerate
 // cases are well-formed: identical corpora produce an all-copy patch,
 // and disjoint corpora produce an all-insert patch (a full corpus with
 // extra framing) — the size ratio is the caller's signal for whether a
 // delta is worth shipping.
-func EncodeDelta(w io.Writer, base, target []NCRecord) error {
-	baseIdx := make(map[string]int, len(base))
-	baseNCs := make([]*core.NC, len(base))
-	for i, rec := range base {
-		key, err := canonicalRecord(i, rec)
-		if err != nil {
-			return fmt.Errorf("corpusbin: encode delta: base: %w", err)
-		}
-		if _, ok := baseIdx[string(key)]; !ok {
-			baseIdx[string(key)] = i
-		}
-		baseNCs[i] = rec.NC
+func EncodeTarget(base *DeltaBase, target []NCRecord) (*Encoded, error) {
+	full, err := marshal(target)
+	if err != nil {
+		return nil, err
 	}
-
-	tab := &stringTable{ids: make(map[string]uint64)}
-	ops := make([]byte, 0, 256)
-	targetNCs := make([]*core.NC, len(target))
+	targetFP := binary.LittleEndian.Uint64(full[4:])
+	ix := newKeyIndexer(len(target))
+	var tab *stringTable
+	var ops []byte
+	if base != nil {
+		tab = &stringTable{ids: make(map[string]uint64)}
+		ops = make([]byte, 0, 256)
+	}
 	for i, rec := range target {
-		key, err := canonicalRecord(i, rec)
+		key, err := ix.add(i, rec)
 		if err != nil {
-			return fmt.Errorf("corpusbin: encode delta: target: %w", err)
+			return nil, err
 		}
-		if bi, ok := baseIdx[string(key)]; ok {
+		if base == nil {
+			continue
+		}
+		if bi, ok := base.index[string(key)]; ok {
 			ops = append(ops, deltaOpCopy)
 			ops = binary.AppendUvarint(ops, uint64(bi))
-		} else {
-			ops = append(ops, deltaOpInsert)
-			ops, err = appendRecord(ops, tab, i, rec)
-			if err != nil {
-				return fmt.Errorf("corpusbin: encode delta: target: %w", err)
-			}
+			continue
 		}
-		targetNCs[i] = rec.NC
+		ops = append(ops, deltaOpInsert)
+		if ops, err = appendRecord(ops, tab, i, rec); err != nil {
+			return nil, err
+		}
+	}
+	out := &Encoded{Full: full, Target: ix.finish(targetFP)}
+	if base == nil {
+		return out, nil
 	}
 
-	// The target file sum pins the applied result to the bytes a full
-	// Encode of the target produces — ApplyDelta re-encodes and checks.
-	var full bytes.Buffer
-	if err := Encode(&full, target); err != nil {
-		return fmt.Errorf("corpusbin: encode delta: %w", err)
-	}
-
-	payload := make([]byte, 0, len(ops)+16*len(tab.strs)+16)
-	payload = binary.AppendUvarint(payload, uint64(len(tab.strs)))
-	for _, s := range tab.strs {
-		payload = binary.AppendUvarint(payload, uint64(len(s)))
-		payload = append(payload, s...)
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(base)))
+	payload := make([]byte, 0, len(ops)+strTableLen(tab.strs)+16)
+	payload = appendStrTable(payload, tab.strs)
+	payload = binary.AppendUvarint(payload, uint64(base.count))
 	payload = binary.AppendUvarint(payload, uint64(len(target)))
 	payload = append(payload, ops...)
 
-	hdr := make([]byte, deltaHeaderLen)
-	copy(hdr, DeltaMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:], core.FingerprintNCs(baseNCs))
-	binary.LittleEndian.PutUint64(hdr[12:], core.FingerprintNCs(targetNCs))
-	binary.LittleEndian.PutUint64(hdr[20:], checksum(full.Bytes()))
-	binary.LittleEndian.PutUint64(hdr[28:], checksum(payload))
-	if _, err := w.Write(hdr); err != nil {
+	delta := make([]byte, deltaHeaderLen, deltaHeaderLen+len(payload))
+	copy(delta, DeltaMagic[:])
+	binary.LittleEndian.PutUint64(delta[4:], base.Fingerprint)
+	binary.LittleEndian.PutUint64(delta[12:], targetFP)
+	// The target file sum pins the applied result to the bytes a full
+	// Encode of the target produces — ApplyDelta re-encodes and checks.
+	binary.LittleEndian.PutUint64(delta[20:], checksum(full))
+	binary.LittleEndian.PutUint64(delta[28:], checksum(payload))
+	out.Delta = append(delta, payload...)
+	return out, nil
+}
+
+// EncodeDelta diffs target against base and writes the HBD patch that
+// rebuilds target from base: IndexBase then EncodeTarget, for callers
+// holding two record lists and no index.
+func EncodeDelta(w io.Writer, base, target []NCRecord) error {
+	b, err := IndexBase(base)
+	if err != nil {
 		return fmt.Errorf("corpusbin: encode delta: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	enc, err := EncodeTarget(b, target)
+	if err != nil {
+		return fmt.Errorf("corpusbin: encode delta: target: %w", err)
+	}
+	if _, err := w.Write(enc.Delta); err != nil {
 		return fmt.Errorf("corpusbin: encode delta: %w", err)
 	}
 	return nil
@@ -331,18 +408,18 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 		return nil, nil, nil, d.errf("%d trailing bytes after last op", d.remaining())
 	}
 
-	var full bytes.Buffer
-	if err := Encode(&full, out); err != nil {
+	full, err := marshal(out)
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w", err)
 	}
-	// Encode stamped the patched corpus's fingerprint into the HBC
+	// marshal stamped the patched corpus's fingerprint into the HBC
 	// header; checking it there verifies the chain's target without a
 	// second hash over every record.
-	if got := binary.LittleEndian.Uint64(full.Bytes()[4:]); got != targetFP {
+	if got := binary.LittleEndian.Uint64(full[4:]); got != targetFP {
 		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus fingerprint %016x, chain target %016x", ErrDeltaResultMismatch, got, targetFP)
 	}
-	if got := checksum(full.Bytes()); got != wantFileSum {
+	if got := checksum(full); got != wantFileSum {
 		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus bytes diverge from a full encode of the target (sum %016x, want %016x)", ErrDeltaResultMismatch, got, wantFileSum)
 	}
-	return full.Bytes(), out, engines, nil
+	return full, out, engines, nil
 }

@@ -292,6 +292,9 @@ func (r *Regex) Tokens() []Token {
 	return append([]Token(nil), r.tokens...)
 }
 
+// Token returns the i-th token without copying the sequence.
+func (r *Regex) Token(i int) Token { return r.tokens[i] }
+
 // NumTokens returns the number of tokens.
 func (r *Regex) NumTokens() int { return len(r.tokens) }
 
