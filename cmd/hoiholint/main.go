@@ -1,31 +1,29 @@
 // Command hoiholint runs hoiho's project-specific static analyzers over
 // the whole module. The pass is typed and interprocedural: it builds a
 // call graph with go/types (method values, interface dispatch, and
-// closures resolved) and runs ten analyzers over it — determinism of
+// closures resolved) and runs nine analyzers over it — determinism of
 // map iteration (detmap), RNG seeding discipline (rngseed),
-// compile-once regex invariants (recompile), WaitGroup/shard-pattern
-// hygiene (wghygiene), panic policy (panicguard), the cancellation
-// contract on exported pipeline entry points (ctxflow), the zero-alloc
-// hot-path proof (hotalloc), lock-order and atomic-mixing discipline
-// (lockorder), error qualification and %w wrapping (errwrap), and
-// goroutine send cancellation arms (gororeturn). See internal/analysis
-// for the rules and the //hoiho:<verb> annotation grammar, and
-// DESIGN.md §14 for the driver design.
+// WaitGroup and close discipline in goroutines (wghygiene), panic
+// policy (panicguard), the cancellation contract on exported pipeline
+// entry points (ctxflow), the zero-alloc hot-path proof (hotalloc),
+// lock-order and atomic-mixing discipline (lockorder), error
+// qualification and %w wrapping (errwrap), and goroutine send
+// cancellation arms (gororeturn). A
+// zero-alloc root that no longer resolves is a finding too (check
+// "roots"). See internal/analysis for the rules and the //hoiho:<verb>
+// annotation grammar, and DESIGN.md §14 for which other check covers
+// each bug class the pass leaves out.
 //
 // Usage:
 //
 //	go run ./cmd/hoiholint ./...
-//	go run ./cmd/hoiholint -json -checkroots -baseline lint.baseline.json ./...
-//	go run ./cmd/hoiholint -graph '(*hoiho/internal/extract.Corpus).Extract' | dot -Tsvg
+//	go run ./cmd/hoiholint -json ./...
 //
 // The package pattern is accepted for familiarity but the tool always
-// analyzes every package in the enclosing module. -checkroots makes an
-// unresolved analysis root (a renamed extraction entry point) a hard
-// failure instead of a silently disabled analyzer. -baseline subtracts
-// a committed set of accepted findings (see lint.baseline.json);
-// -update-baseline rewrites that file from the current findings. Exits
-// 1 when there are findings, 2 when the module cannot be loaded, a
-// root does not resolve, or a flag is misused.
+// analyzes every package in the enclosing module (or the one holding
+// the -C directory). Each text finding is followed by the annotation
+// that would suppress it. Exits 1 when there are findings, 2 when the
+// module cannot be loaded or a flag is misused.
 package main
 
 import (
@@ -45,12 +43,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("hoiholint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	suggest := fs.Bool("suggest", false, "print the suppression annotation to add for each finding")
 	dir := fs.String("C", ".", "directory inside the module to lint")
-	graphRoot := fs.String("graph", "", "print the typed call graph reachable from the named root (a types.Func full name) as Graphviz DOT and exit")
-	baselinePath := fs.String("baseline", "", "JSON baseline of accepted findings to subtract from the output")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit")
-	checkRoots := fs.Bool("checkroots", false, "exit 2 when a configured analysis root does not resolve to a declared function")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -65,46 +58,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "hoiholint:", err)
 		return 2
 	}
-
-	if *graphRoot != "" {
-		dot, err := prog.CallGraph().DOT(*graphRoot)
-		if err != nil {
-			fmt.Fprintln(stderr, "hoiholint:", err)
-			return 2
-		}
-		fmt.Fprint(stdout, dot)
-		return 0
-	}
-	if *checkRoots {
-		if missing := prog.UnresolvedRoots(); len(missing) > 0 {
-			for _, m := range missing {
-				fmt.Fprintf(stderr, "hoiholint: analysis root %q does not resolve to a declared function (renamed without updating the lint config?)\n", m)
-			}
-			return 2
-		}
-	}
-
 	diags := prog.Run(analysis.Analyzers())
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(stderr, "hoiholint: -update-baseline requires -baseline <path>")
-			return 2
-		}
-		if err := writeBaseline(*baselinePath, root, diags); err != nil {
-			fmt.Fprintln(stderr, "hoiholint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "hoiholint: baseline %s rewritten with %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-	if *baselinePath != "" {
-		diags, err = subtractBaseline(*baselinePath, root, diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "hoiholint:", err)
-			return 2
-		}
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -119,7 +73,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-			if *suggest && d.Suggest != "" {
+			if d.Suggest != "" {
 				fmt.Fprintf(stdout, "\tsuppress with: %s\n", d.Suggest)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"hoiho/internal/analysis"
@@ -30,24 +29,32 @@ func TestSelfCheckModuleClean(t *testing.T) {
 	}
 }
 
-// writeTempModule builds a throwaway module with a recompile-in-loop
-// violation (the analyzers that run module-wide regardless of package
-// configuration).
-func writeTempModule(t *testing.T) string {
+// wgAddInside is a throwaway program with one wghygiene finding:
+// wg.Add inside the spawned goroutine. The pass reports it regardless
+// of package configuration.
+const wgAddInside = `package main
+
+import "sync"
+
+func main() {
+	var wg sync.WaitGroup
+	go func() {
+		wg.Add(1)
+		defer wg.Done()
+	}()
+	wg.Wait()
+}
+`
+
+// writeTempModule builds a throwaway module whose main.go is src.
+// hoiho's zero-alloc roots do not exist there, so every run over it
+// also reports one "roots" finding per root.
+func writeTempModule(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.22\n",
-		"main.go": `package main
-
-import "regexp"
-
-func main() {
-	for _, p := range []string{"a", "b"} {
-		_ = regexp.MustCompile(p)
-	}
-}
-`,
+		"go.mod":  "module tmpmod\n\ngo 1.22\n",
+		"main.go": src,
 	}
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -57,8 +64,44 @@ func main() {
 	return dir
 }
 
+// runJSON runs hoiholint -json over dir and returns the exit code and
+// the decoded findings.
+func runJSON(t *testing.T, dir string) (int, []analysis.Diagnostic) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "out.json")
+	stdout, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	code := run([]string{"-json", "-C", dir}, stdout, devnull)
+	stdout.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diags []analysis.Diagnostic
+	if err := json.Unmarshal(data, &diags); err != nil {
+		t.Fatalf("output is not a JSON diagnostic array: %v\n%s", err, data)
+	}
+	return code, diags
+}
+
+// countChecks tallies findings by check name.
+func countChecks(diags []analysis.Diagnostic) map[string]int {
+	n := make(map[string]int)
+	for _, d := range diags {
+		n[d.Check]++
+	}
+	return n
+}
+
 func TestExitNonzeroOnFindings(t *testing.T) {
-	dir := writeTempModule(t)
+	dir := writeTempModule(t, wgAddInside)
 	stdout, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
@@ -70,26 +113,13 @@ func TestExitNonzeroOnFindings(t *testing.T) {
 }
 
 func TestJSONOutput(t *testing.T) {
-	dir := writeTempModule(t)
-	path := filepath.Join(t.TempDir(), "out.json")
-	stdout, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-json", "-C", dir}, stdout, os.Stderr); code != 1 {
+	code, diags := runJSON(t, writeTempModule(t, wgAddInside))
+	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	stdout.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diags []analysis.Diagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		t.Fatalf("output is not a JSON diagnostic array: %v\n%s", err, data)
-	}
-	if len(diags) != 1 || diags[0].Check != "recompile" {
-		t.Fatalf("diags = %+v, want one recompile finding", diags)
+	roots := len(analysis.Default().ZeroAllocRoots)
+	if got := countChecks(diags); len(diags) != 1+roots || got["wghygiene"] != 1 || got["roots"] != roots {
+		t.Fatalf("diags = %+v, want one wghygiene finding and %d roots findings", diags, roots)
 	}
 }
 
@@ -110,133 +140,22 @@ func TestLoadErrorExitCode(t *testing.T) {
 	}
 }
 
-// outFile returns a temp *os.File plus a closure that reads what was
-// written to it.
-func outFile(t *testing.T) (*os.File, func() string) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "out")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, func() string {
-		f.Close()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-}
-
-// TestBaselineRoundTrip: -update-baseline accepts the current findings,
-// a subsequent run with -baseline is clean, and the acceptance survives
-// line shifts because entries are keyed by message, not line number.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := writeTempModule(t)
-	base := filepath.Join(t.TempDir(), "lint.baseline.json")
-
-	stdout, _ := outFile(t)
-	if code := run([]string{"-C", dir, "-baseline", base, "-update-baseline"}, stdout, os.Stderr); code != 0 {
-		t.Fatalf("-update-baseline exit code = %d, want 0", code)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v\n%s", err, data)
-	}
-	if len(entries) != 1 || entries[0].Check != "recompile" || entries[0].File != "main.go" || entries[0].Count != 1 {
-		t.Fatalf("baseline entries = %+v, want one recompile finding in main.go", entries)
-	}
-
-	stdout, _ = outFile(t)
-	if code := run([]string{"-C", dir, "-baseline", base}, stdout, os.Stderr); code != 0 {
-		t.Fatalf("baselined run exit code = %d, want 0", code)
-	}
-
-	// Shift the finding to a different line; the baseline must still
-	// absorb it.
-	mainGo := filepath.Join(dir, "main.go")
-	src, err := os.ReadFile(mainGo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mainGo, append([]byte("// shifted by an unrelated edit\n\n"), src...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, _ = outFile(t)
-	if code := run([]string{"-C", dir, "-baseline", base}, stdout, os.Stderr); code != 0 {
-		t.Fatalf("baselined run after line shift exit code = %d, want 0", code)
-	}
-
-	// Without the baseline the finding still fails the run.
-	stdout, _ = outFile(t)
-	if code := run([]string{"-C", dir}, stdout, os.Stderr); code != 1 {
-		t.Fatalf("unbaselined run exit code = %d, want 1", code)
-	}
-}
-
-func TestUpdateBaselineRequiresPath(t *testing.T) {
-	dir := writeTempModule(t)
-	stdout, _ := outFile(t)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{"-C", dir, "-update-baseline"}, stdout, devnull); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-}
-
-// TestGraphDump: -graph prints a DOT digraph rooted at the named
-// function and exits 0 without linting.
-func TestGraphDump(t *testing.T) {
-	dir := writeTempModule(t)
-	stdout, read := outFile(t)
-	if code := run([]string{"-C", dir, "-graph", "tmpmod.main"}, stdout, os.Stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0", code)
-	}
-	out := read()
-	if !strings.Contains(out, "digraph") || !strings.Contains(out, "tmpmod.main") {
-		t.Fatalf("-graph output does not look like DOT:\n%s", out)
-	}
-}
-
-func TestGraphUnresolvedRoot(t *testing.T) {
-	dir := writeTempModule(t)
-	stdout, _ := outFile(t)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{"-C", dir, "-graph", "tmpmod.noSuchFunc"}, stdout, devnull); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-}
-
-// TestCheckRootsUnresolved: hoiho's configured roots do not exist in
-// the throwaway module, so -checkroots must hard-fail instead of
-// silently disabling the hot-path analyzers.
+// TestCheckRootsUnresolved: hoiho's zero-alloc roots do not exist in
+// a throwaway module with nothing else wrong, so the run fails with one
+// "roots" finding per root instead of silently disabling hotalloc.
 func TestCheckRootsUnresolved(t *testing.T) {
-	dir := writeTempModule(t)
-	stdout, _ := outFile(t)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+	code, diags := runJSON(t, writeTempModule(t, "package main\n\nfunc main() {}\n"))
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
 	}
-	defer devnull.Close()
-	if code := run([]string{"-C", dir, "-checkroots"}, stdout, devnull); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
+	roots := len(analysis.Default().ZeroAllocRoots)
+	if got := countChecks(diags); len(diags) != roots || got["roots"] != roots {
+		t.Fatalf("diags = %+v, want %d roots findings", diags, roots)
 	}
 }
 
-// TestCheckRootsResolveOnModule mirrors the CI gate: every configured
-// root must resolve against the real module.
+// TestCheckRootsResolveOnModule: every configured zero-alloc root
+// resolves against the real module.
 func TestCheckRootsResolveOnModule(t *testing.T) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {

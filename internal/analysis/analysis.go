@@ -1,10 +1,9 @@
 // Package analysis implements hoiholint, the project's static-analysis
 // pass. Hoiho's headline results (Figure 4 ATP=8, Figures 5/6, Table 1)
-// are value-pinned tests, and the pipeline is only reproducible because
-// every package obeys rules the compiler does not check: seeded
-// rand.New(rand.NewSource(...)) only, no map-iteration order leaking
-// into output, regexes compiled exactly once. This package makes those
-// invariants machine-checked.
+// are value-pinned tests, and the learner and server obey rules the
+// compiler does not check. A rule stays here only while some bug in its
+// class fails no test, go vet or -race run; the rest are left to those
+// checks (DESIGN.md §14 records which check covers what).
 //
 // The pass is stdlib-only (go/parser + go/types + go/ast; no x/tools),
 // loads every package in the module through go/types, builds a typed
@@ -16,14 +15,9 @@
 //     the result is sorted afterward.
 //   - rngseed: only explicitly seeded *rand.Rand values; no global
 //     math/rand state, no time-derived seeds, no crypto/rand.
-//   - recompile: regexp.Compile/MustCompile must not run inside loops or
-//     on the per-item hot path reachable from the Corpus extraction entry
-//     points and Set evaluation; the sanctioned hot-path matcher is the
-//     compiled internal/match engine (stdlib regexp is the cold-path
-//     fallback behind the compile-once caches).
-//   - wghygiene: WaitGroup and shard-pattern discipline for goroutines
-//     (Add before go, deferred Done, loop-variable-indexed result
-//     writes).
+//   - wghygiene: WaitGroup.Add runs before the go statement, and
+//     wg.Done and close of a shared channel inside a goroutine are
+//     deferred.
 //   - panicguard: panics in library packages must be annotated as
 //     data-embedded invariants or replaced by returned errors.
 //   - ctxflow: exported functions in the pipeline packages that spawn
@@ -43,6 +37,8 @@
 //     select with a ctx.Done (or default) arm, so cancelled consumers
 //     cannot strand the sender.
 //
+// Run also reports each zero-alloc root that no longer resolves (check
+// "roots"), so a rename cannot silently switch hotalloc off.
 // Intentional violations are suppressed with a //hoiho:<verb>-ok
 // annotation carrying a reason; see annot.go for the grammar.
 package analysis
@@ -80,12 +76,9 @@ type Analyzer struct {
 	Run  func(*Program) []Diagnostic
 }
 
-// Analyzers returns the full pass in reporting order. The first six
-// are the PR 3 syntax-era analyzers (since migrated onto the typed call
-// graph); hotalloc, lockorder, errwrap, and gororeturn are the typed
-// interprocedural additions.
+// Analyzers returns the full pass in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{detmap, rngseed, recompile, wghygiene, panicguard, ctxflow, hotalloc, lockorder, errwrap, gororeturn}
+	return []*Analyzer{detmap, rngseed, wghygiene, panicguard, ctxflow, hotalloc, lockorder, errwrap, gororeturn}
 }
 
 // Config scopes the analyzers to the project's packages. The zero value
@@ -98,15 +91,13 @@ type Config struct {
 	// PanicPkgs are the import paths where panicguard applies: library
 	// packages whose callers expect errors, not crashes.
 	PanicPkgs []string
-	// HotRoots are types.Func full names (as printed by
-	// (*types.Func).FullName) rooting the per-item hot path for the
-	// recompile analyzer, e.g. "(*hoiho/internal/extract.Corpus).Extract".
-	HotRoots []string
 	// CtxPkgs are the import paths under the cancellation contract:
 	// ctxflow applies only here. These are the pipeline packages whose
 	// exported entry points can run for minutes on real corpora.
 	CtxPkgs []string
-	// ZeroAllocRoots are types.Func full names rooting the zero-alloc
+	// ZeroAllocRoots are types.Func full names (as printed by
+	// (*types.Func).FullName, e.g.
+	// "(*hoiho/internal/extract.Corpus).Extract") rooting the zero-alloc
 	// contract: hotalloc flags every allocation site reachable from them
 	// unless budgeted with //hoiho:hotalloc.
 	ZeroAllocRoots []string
@@ -124,8 +115,8 @@ type Config struct {
 }
 
 // Default is hoiho's lint configuration: the deterministic packages the
-// value-pinned figures depend on, and the serving/evaluation hot roots
-// added in PRs 1-2.
+// value-pinned figures depend on, the zero-alloc extraction roots, and
+// the packages under the cancellation, lock, error and goroutine rules.
 func Default() Config {
 	det := []string{
 		"hoiho/internal/core",
@@ -141,31 +132,15 @@ func Default() Config {
 	return Config{
 		DetPkgs:   det,
 		PanicPkgs: append(append([]string{}, det...), "hoiho/internal/psl", "hoiho/internal/hostname"),
-		// Every extraction entry point of the v2 API roots the hot path,
-		// plus the compiled engine itself: internal/match is the sanctioned
-		// per-hostname matcher, so nothing reachable from it may fall back
-		// to a fresh stdlib compile.
-		HotRoots: []string{
-			"(*hoiho/internal/extract.Corpus).Extract",
-			"(*hoiho/internal/extract.Corpus).ExtractBatch",
-			"(*hoiho/internal/match.Engine).MatchString",
-			"(*hoiho/internal/core.Set).Evaluate",
-			"(*hoiho/internal/core.Set).Learn",
-			// The HBC decode path exists to skip recompilation: a cold
-			// start that compiled stdlib regexp per convention would erase
-			// the format's point, so the whole decode is held to the same
-			// compile-once rule as serving.
-			"hoiho/internal/corpusbin.Decode",
-		},
 		CtxPkgs: []string{
 			"hoiho/internal/core",
 			"hoiho/internal/extract",
 			"hoiho/internal/cluster",
 		},
-		// The PR 6 contract: after Precompile, per-hostname extraction and
-		// matching allocate nothing (the batch path budgets its result
-		// slice and worker closures explicitly). extract's TestBound*Allocs
-		// tests enforce this dynamically; hotalloc proves it statically.
+		// After Precompile, per-hostname extraction and matching allocate
+		// nothing (the batch path budgets its result slice and worker
+		// closures explicitly). extract's TestBound*Allocs tests enforce
+		// this dynamically; hotalloc proves it statically.
 		ZeroAllocRoots: []string{
 			"(*hoiho/internal/extract.Corpus).Extract",
 			"(*hoiho/internal/extract.Corpus).ExtractBatch",
@@ -209,7 +184,8 @@ func containsStr(xs []string, s string) bool {
 
 // Run executes the analyzers over the program, drops diagnostics
 // suppressed by a matching annotation, and returns the rest sorted by
-// position. Malformed annotations are themselves diagnostics.
+// position. Malformed annotations and unresolved zero-alloc roots are
+// themselves diagnostics.
 func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	verbs := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -219,6 +195,12 @@ func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	p.ann = ann
 	defer func() { p.ann = nil }()
 	out := append([]Diagnostic{}, ann.diags...)
+	for _, name := range p.UnresolvedRoots() {
+		out = append(out, Diagnostic{
+			Check:   "roots",
+			Message: "zero-alloc root " + quote(name) + " does not resolve to a declared function (renamed without updating the lint config?)",
+		})
+	}
 	for _, a := range analyzers {
 		for _, d := range a.Run(p) {
 			if ann.suppressed(a.Verb, d.Pos) || ann.suppressed(a.Verb, d.Anchor) {

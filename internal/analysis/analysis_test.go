@@ -14,17 +14,16 @@ func fixtureConfig() Config {
 	return Config{
 		DetPkgs:        []string{"fix/detmapfix", "fix/rngseedfix", "fix/annotfix"},
 		PanicPkgs:      []string{"fix/panicfix"},
-		HotRoots:       []string{"fix/recompilefix.ServeItem", "fix/recompilefix.ServeItem2"},
 		CtxPkgs:        []string{"fix/ctxflowfix"},
 		ZeroAllocRoots: []string{"fix/hotallocfix.ServeHot"},
 		LockPkgs:       []string{"fix/lockorderfix"},
-		ErrPkgs:        []string{"fix/errwrapfix"},
+		ErrPkgs:        []string{"fix/errwrapfix", "fix/annotfix"},
 		GoroPkgs:       []string{"fix/gorofix"},
 	}
 }
 
 var fixturePkgs = []string{
-	"detmapfix", "rngseedfix", "recompilefix", "wgfix", "panicfix", "ctxflowfix",
+	"detmapfix", "rngseedfix", "wgfix", "panicfix", "ctxflowfix",
 	"hotallocfix", "lockorderfix", "errwrapfix", "gorofix", "annotfix",
 }
 

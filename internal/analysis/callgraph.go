@@ -11,14 +11,13 @@ import (
 )
 
 // This file is the typed interprocedural driver every reachability-based
-// analyzer shares. The PR 3 pass resolved callees with a hand-rolled
-// ident walk, which missed three whole classes of edges: calls through
-// method values (f := c.helper; f()), dynamic dispatch through
-// interfaces (m.MatchString where m has an interface type),
-// and closures handed to other code. A fmt.Sprintf two calls deep
-// behind any of those was invisible to the old graph — exactly the
-// shape that silently re-allocates the zero-alloc hot path. The typed
-// graph resolves all three against go/types:
+// analyzer shares. A resolver that only follows identifiers misses three
+// whole classes of edges: calls through method values (f := c.helper;
+// f()), dynamic dispatch through interfaces (m.MatchString where m has
+// an interface type), and closures handed to other code. A fmt.Sprintf
+// two calls deep behind any of those is exactly the shape that silently
+// re-allocates the zero-alloc hot path. The typed graph resolves all
+// three against go/types:
 //
 //   - static calls and method calls bind to the callee's *types.Func;
 //   - interface-method calls fan out to every declared implementation
@@ -34,8 +33,8 @@ import (
 //
 // The graph is deliberately an over-approximation: a ref edge means
 // "may be invoked by code this function armed", not "is always called".
-// For the invariants checked here (no fresh compiles, no allocations,
-// no unguarded sends on hot/reachable paths) over-approximation errs
+// For the invariants checked here (no allocations on the zero-alloc
+// path, no unguarded sends, one lock order) over-approximation errs
 // exactly the right way.
 
 // EdgeKind classifies how a caller reaches a callee.
@@ -55,20 +54,6 @@ const (
 	// EdgeClosure connects a function to a literal it creates.
 	EdgeClosure
 )
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeDispatch:
-		return "dispatch"
-	case EdgeRef:
-		return "ref"
-	case EdgeClosure:
-		return "closure"
-	}
-	return "?"
-}
 
 // Edge is one resolved caller→callee relation with the source position
 // that justifies it.
@@ -144,19 +129,15 @@ func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 // NodeByName resolves a (*types.Func).FullName-style root name.
 func (g *Graph) NodeByName(full string) *Node { return g.byName[full] }
 
-// UnresolvedRoots returns every configured root name (hot roots and
-// zero-alloc roots) that does not resolve to a declared function in the
-// loaded module. A rename of ExtractBatch must fail loudly here, not
-// silently disable the analyzers rooted at it.
+// UnresolvedRoots returns every configured zero-alloc root name that
+// does not resolve to a declared function in the loaded module. A
+// rename of ExtractBatch must fail loudly here, not silently disable
+// the hotalloc proof rooted at it; Run reports each one as a "roots"
+// finding.
 func (p *Program) UnresolvedRoots() []string {
 	g := p.CallGraph()
-	seen := make(map[string]bool)
 	var missing []string
-	for _, name := range append(append([]string{}, p.Config.HotRoots...), p.Config.ZeroAllocRoots...) {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
+	for _, name := range p.Config.ZeroAllocRoots {
 		if g.NodeByName(name) == nil {
 			missing = append(missing, name)
 		}
@@ -199,42 +180,6 @@ func (g *Graph) Reachable(roots []string, skip func(*Node) bool) map[*Node]strin
 		}
 	}
 	return reach
-}
-
-// DOT renders the subgraph reachable from root as Graphviz DOT, nodes
-// and edges sorted for stable output. It errors when root does not
-// resolve.
-func (g *Graph) DOT(root string) (string, error) {
-	start := g.byName[root]
-	if start == nil {
-		return "", fmt.Errorf("root %q does not resolve to a declared function in the module", root)
-	}
-	reach := g.Reachable([]string{root}, nil)
-	var lines []string
-	for n := range reach {
-		for _, e := range n.Edges {
-			if _, ok := reach[e.To]; !ok {
-				continue
-			}
-			lines = append(lines, fmt.Sprintf("  %q -> %q [label=%q];", n.Name(), e.To.Name(), e.Kind.String()))
-		}
-	}
-	sort.Strings(lines)
-	// Deduplicate parallel edges of the same kind for readability.
-	uniq := lines[:0]
-	for i, l := range lines {
-		if i == 0 || l != lines[i-1] {
-			uniq = append(uniq, l)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", root)
-	for _, l := range uniq {
-		b.WriteString(l)
-		b.WriteString("\n")
-	}
-	b.WriteString("}\n")
-	return b.String(), nil
 }
 
 func buildGraph(p *Program) *Graph {

@@ -3,18 +3,15 @@
 // malformed markers, and stale suppressions.
 package annotfix
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // stacked: both verbs in the comment group apply to the line the group
 // annotates — the first is not shadowed by the second.
 func stacked(m map[string]int) {
 	for k := range m {
 		//hoiho:nondet-ok stacked: debug dump read by humans, not by the pipeline
-		//hoiho:rng-ok stacked: sampling jitter here is deliberately unseeded
-		fmt.Println(k, rand.Intn(10))
+		//hoiho:errwrap-ok stacked: the error is printed, never returned, so it needs no origin
+		fmt.Println(k, fmt.Errorf("bad key %s", k))
 	}
 }
 
@@ -39,6 +36,6 @@ func leadingWhitespace(ok bool) {
 // staleWaiver: a suppression matching no diagnostic is itself a
 // finding, so fixed code sheds its waivers.
 func staleWaiver() int {
-	//hoiho:wg-ok the loop below used to append under a lock // want `stale //hoiho:wg-ok suppression: no diagnostic matches it`
+	//hoiho:goro-ok the send below used to block without a ctx arm // want `stale //hoiho:goro-ok suppression: no diagnostic matches it`
 	return 0
 }

@@ -1,6 +1,6 @@
 // Named workers: `go worker(...)` resolves through the typed call
 // graph, so the worker's declaration is held to the same hygiene rules
-// as a go'd literal. Parameters count as goroutine-owned shard indexes.
+// as a go'd literal.
 package wgfix
 
 import "sync"
@@ -30,8 +30,7 @@ func SpawnNamedClean(n int) {
 	wg.Wait()
 }
 
-// cleanWorker defers Done and writes only through its own parameters:
-// no findings.
+// cleanWorker defers Done: no findings.
 func cleanWorker(wg *sync.WaitGroup, out []int, i int) {
 	defer wg.Done()
 	out[i] = i * 2

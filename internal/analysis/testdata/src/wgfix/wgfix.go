@@ -1,6 +1,5 @@
 // Package wgfix exercises the wghygiene analyzer: WaitGroup call
-// placement, deferred Done/close discipline, and the shard pattern for
-// result-slice writes.
+// placement and deferred Done/close discipline.
 package wgfix
 
 import "sync"
@@ -31,50 +30,6 @@ func doneNotDeferred(jobs chan int) {
 	wg.Wait()
 }
 
-func appendShared(hosts []string) []int {
-	var out []int
-	var wg sync.WaitGroup
-	for _, h := range hosts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out = append(out, len(h)) // want `append to "out" shared across goroutines is a data race`
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-func sharedIndex(hosts []string) []int {
-	out := make([]int, len(hosts))
-	var wg sync.WaitGroup
-	next := 0
-	for range hosts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[next] = 1 // want `write to "out" indexed by a variable shared across goroutines`
-			next++
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-func sharedMap(hosts []string) map[string]int {
-	m := make(map[string]int)
-	var wg sync.WaitGroup
-	for _, h := range hosts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m[h] = len(h) // want `write to map "m" shared across goroutines is a data race`
-		}()
-	}
-	wg.Wait()
-	return m
-}
-
 func closeNotDeferred(in <-chan string, jobs chan<- []string) {
 	go func() {
 		var buf []string
@@ -89,8 +44,7 @@ func closeNotDeferred(in <-chan string, jobs chan<- []string) {
 }
 
 // The blessed shard pattern from extract/batch.go and core/matrix.go:
-// Add before go, deferred Done, writes indexed by a goroutine-owned
-// variable — silent.
+// Add before go, deferred Done — silent.
 func shardClean(hosts []string, workers int) []int {
 	out := make([]int, len(hosts))
 	jobs := make(chan int)
@@ -112,30 +66,16 @@ func shardClean(hosts []string, workers int) []int {
 	return out
 }
 
-// Indexing by a captured per-iteration loop variable is the other
-// blessed shard form — silent.
-func loopVarIndex(hosts []string) []int {
-	out := make([]int, len(hosts))
-	var wg sync.WaitGroup
-	for i, h := range hosts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = len(h)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 func annotated(hosts []string) []int {
-	out := make([]int, 1)
+	out := make([]int, len(hosts))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		//hoiho:wg-ok single goroutine owns the whole slice
-		out = append(out, len(hosts))
+		for i, h := range hosts {
+			out[i] = len(h)
+		}
+		//hoiho:wg-ok the loop above has no return path and cannot panic
+		wg.Done()
 	}()
 	wg.Wait()
 	return out

@@ -6,29 +6,29 @@ import (
 	"go/types"
 )
 
-// wghygiene checks the goroutine patterns the repo's parallel stages
-// (extract/batch.go, core/matrix.go, core/learn.go) rely on:
+// wghygiene checks the WaitGroup and channel discipline of the repo's
+// goroutines (extract/batch.go, core/matrix.go, core/learn.go,
+// cluster's fan-outs and loops):
 //
 //   - wg.Add must run before the goroutine is spawned, never inside it
 //     (inside, Wait can return before Add runs);
 //   - wg.Done inside a goroutine must be deferred so every return and
 //     panic path releases the wait;
 //   - close() of a shared channel inside a goroutine with early returns
-//     must be deferred for the same reason;
-//   - writes to a shared result slice inside a goroutine must be
-//     indexed by a variable the goroutine owns — a closure-local, a
-//     parameter, or a captured per-iteration loop variable — never by a
-//     variable shared across goroutines, and never via append (the
-//     shard pattern: out[i] = f(in[i])).
+//     must be deferred for the same reason.
+//
+// Tests catch each of these only at some sites, or only on some runs:
+// a misplaced Add in a probe loop, or a Done skipped on a worker's
+// cancellation path, can pass every test. Shared-slice and map writes
+// inside goroutines are left to -race, which fails on every such site.
 //
 // Both `go func(){...}()` and `go worker(...)` launches are checked:
 // named workers resolve through the typed call graph to their
-// declaration, whose body is held to the same rules (parameters count
-// as goroutine-owned). A worker launched from several sites is checked
-// once.
+// declaration, whose body is held to the same rules. A worker launched
+// from several sites is checked once.
 var wghygiene = &Analyzer{
 	Name: "wghygiene",
-	Doc:  "WaitGroup and shard-pattern discipline for goroutines",
+	Doc:  "WaitGroup Add before go, deferred Done and close in goroutines",
 	Verb: "wg-ok",
 	Run:  runWGHygiene,
 }
@@ -39,91 +39,34 @@ func runWGHygiene(p *Program) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range p.Packages {
 		for _, f := range pkg.Files {
-			// Track loop variables of every for/range enclosing each go
-			// statement: per-iteration since Go 1.22, so safe to index by.
-			var loopVars []map[types.Object]bool
-			var walk func(n ast.Node)
-			walk = func(n ast.Node) {
-				if n == nil {
-					return
+			ast.Inspect(f, func(n ast.Node) bool {
+				gs, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
 				}
-				push := false
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					vars := make(map[types.Object]bool)
-					for _, e := range []ast.Expr{n.Key, n.Value} {
-						if id, ok := e.(*ast.Ident); ok {
-							if obj := pkg.Info.Defs[id]; obj != nil {
-								vars[obj] = true
-							}
-						}
-					}
-					loopVars = append(loopVars, vars)
-					push = true
-				case *ast.ForStmt:
-					vars := make(map[types.Object]bool)
-					if as, ok := n.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-						for _, e := range as.Lhs {
-							if id, ok := e.(*ast.Ident); ok {
-								if obj := pkg.Info.Defs[id]; obj != nil {
-									vars[obj] = true
-								}
-							}
-						}
-					}
-					loopVars = append(loopVars, vars)
-					push = true
-				case *ast.GoStmt:
-					if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-						owned := make(map[types.Object]bool)
-						for _, vars := range loopVars {
-							for o := range vars {
-								owned[o] = true
-							}
-						}
-						out = append(out, checkGoroutineBody(p, pkg, lit.Body, lit.Pos(), lit.End(), owned)...)
-					} else if fn, ok := calleeObj(pkg.Info, n.Call).(*types.Func); ok {
-						// A named worker: resolve to its declaration and hold
-						// the body to the same rules. Its parameters are
-						// declared within the decl span, so they count as
-						// goroutine-owned automatically.
-						if node := g.NodeOf(fn); node != nil && node.Decl != nil && node.Decl.Body != nil && !checkedDecl[node] {
-							checkedDecl[node] = true
-							out = append(out, checkGoroutineBody(p, node.Pkg, node.Decl.Body, node.Decl.Pos(), node.Decl.End(), nil)...)
-						}
+				if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+					out = append(out, checkGoroutineBody(p, pkg, lit.Body, lit.Pos(), lit.End())...)
+				} else if fn, ok := calleeObj(pkg.Info, gs.Call).(*types.Func); ok {
+					// A named worker: resolve to its declaration and hold
+					// the body to the same rules.
+					if node := g.NodeOf(fn); node != nil && node.Decl != nil && node.Decl.Body != nil && !checkedDecl[node] {
+						checkedDecl[node] = true
+						out = append(out, checkGoroutineBody(p, node.Pkg, node.Decl.Body, node.Decl.Pos(), node.Decl.End())...)
 					}
 				}
-				var children []ast.Node
-				ast.Inspect(n, func(c ast.Node) bool {
-					if c == nil || c == n {
-						return c == n
-					}
-					children = append(children, c)
-					return false
-				})
-				for _, c := range children {
-					walk(c)
-				}
-				if push {
-					loopVars = loopVars[:len(loopVars)-1]
-				}
-			}
-			walk(f)
+				return true
+			})
 		}
 	}
 	return out
 }
 
 // checkGoroutineBody inspects one goroutine body — a go'd function
-// literal or the declaration of a named worker. owned is the set of
-// enclosing per-iteration loop variables the goroutine may safely use
-// as shard indexes; anything declared within [lo, hi] (locals,
-// parameters) is owned implicitly.
-func checkGoroutineBody(p *Program, pkg *Package, body *ast.BlockStmt, lo, hi token.Pos, owned map[types.Object]bool) []Diagnostic {
+// literal or the declaration of a named worker. Channels declared within
+// [lo, hi] (locals, parameters) belong to the goroutine, so their close
+// is not checked.
+func checkGoroutineBody(p *Program, pkg *Package, body *ast.BlockStmt, lo, hi token.Pos) []Diagnostic {
 	var out []Diagnostic
-	local := func(obj types.Object) bool {
-		return owned[obj] || declaredWithin(obj, lo, hi)
-	}
 	hasReturn := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.ReturnStmt); ok {
@@ -166,7 +109,7 @@ func checkGoroutineBody(p *Program, pkg *Package, body *ast.BlockStmt, lo, hi to
 			}
 			if isBuiltin(pkg.Info, n, "close") && !deferred && hasReturn && len(n.Args) == 1 {
 				if id := rootIdent(n.Args[0]); id != nil {
-					if obj := objOf(pkg.Info, id); obj != nil && !local(obj) {
+					if obj := objOf(pkg.Info, id); obj != nil && !declaredWithin(obj, lo, hi) {
 						out = append(out, Diagnostic{
 							Pos:     p.Fset.Position(n.Pos()),
 							Check:   "wghygiene",
@@ -176,8 +119,6 @@ func checkGoroutineBody(p *Program, pkg *Package, body *ast.BlockStmt, lo, hi to
 					}
 				}
 			}
-		case *ast.AssignStmt:
-			out = append(out, checkShardWrites(p, pkg, n, local)...)
 		}
 		var children []ast.Node
 		ast.Inspect(n, func(c ast.Node) bool {
@@ -192,80 +133,5 @@ func checkGoroutineBody(p *Program, pkg *Package, body *ast.BlockStmt, lo, hi to
 		}
 	}
 	visit(body, false)
-	return out
-}
-
-// checkShardWrites flags result-slice writes in a goroutine that are
-// not shard-safe: appends to shared slices, and element writes indexed
-// by a variable shared across goroutines.
-func checkShardWrites(p *Program, pkg *Package, as *ast.AssignStmt, local func(types.Object) bool) []Diagnostic {
-	var out []Diagnostic
-	sharedRoot := func(e ast.Expr) (string, bool) {
-		id := rootIdent(e)
-		if id == nil {
-			return "", false
-		}
-		obj := objOf(pkg.Info, id)
-		if obj == nil || local(obj) {
-			return "", false
-		}
-		return exprString(e), true
-	}
-	for i, lhs := range as.Lhs {
-		if as.Tok == token.ASSIGN && i < len(as.Rhs) {
-			if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok && isBuiltin(pkg.Info, call, "append") {
-				if name, shared := sharedRoot(lhs); shared {
-					out = append(out, Diagnostic{
-						Pos:     p.Fset.Position(as.Pos()),
-						Check:   "wghygiene",
-						Message: "append to " + quote(name) + " shared across goroutines is a data race; preallocate and write by shard index instead",
-						Suggest: "//hoiho:wg-ok <why this append cannot race>",
-					})
-					continue
-				}
-			}
-		}
-		ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-		if !ok {
-			continue
-		}
-		if t := pkg.Info.TypeOf(ix.X); t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				if name, shared := sharedRoot(ix.X); shared {
-					out = append(out, Diagnostic{
-						Pos:     p.Fset.Position(as.Pos()),
-						Check:   "wghygiene",
-						Message: "write to map " + quote(name) + " shared across goroutines is a data race; maps are not goroutine-safe",
-						Suggest: "//hoiho:wg-ok <why this map write is externally synchronized>",
-					})
-				}
-				continue
-			}
-		}
-		name, shared := sharedRoot(ix.X)
-		if !shared {
-			continue
-		}
-		badIdx := false
-		ast.Inspect(ix.Index, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := objOf(pkg.Info, id)
-			if _, isVar := obj.(*types.Var); isVar && !local(obj) {
-				badIdx = true
-			}
-			return true
-		})
-		if badIdx {
-			out = append(out, Diagnostic{
-				Pos:     p.Fset.Position(as.Pos()),
-				Check:   "wghygiene",
-				Message: "write to " + quote(name) + " indexed by a variable shared across goroutines; shard writes must use a captured loop variable or goroutine-local index",
-				Suggest: "//hoiho:wg-ok <why this index cannot collide across goroutines>",
-			})
-		}
-	}
 	return out
 }

@@ -32,3 +32,32 @@ func TestBoundLearnAllocs(t *testing.T) {
 		t.Errorf("learning 200 items = %v allocs/op, want <= %d", allocs, learnAllocCeiling)
 	}
 }
+
+// evalAllocCeiling bounds one naive Evaluate of the learned regexes over
+// the 200-item large-suffix workload. Each regex compiles once behind
+// its rex cache, so the cost is the per-call unique-extraction maps and
+// the extracted strings: 198 allocs (404 under -race). A compile per
+// item costs tens of thousands.
+const evalAllocCeiling = 1_000
+
+// TestBoundEvaluateAllocs: re-evaluating an already-compiled regex set
+// stays under evalAllocCeiling allocations, so Set.Evaluate never
+// recompiles per item.
+func TestBoundEvaluateAllocs(t *testing.T) {
+	items := experiments.LargeSuffixItems(200)
+	set, err := core.NewSet("bigcarrier.net", items, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := set.Learn(context.Background())
+	if err != nil || nc == nil {
+		t.Fatalf("Learn = %v, %v", nc, err)
+	}
+	set.Evaluate(nc.Regexes...) // warm the compile-once caches
+	allocs := testing.AllocsPerRun(5, func() {
+		set.Evaluate(nc.Regexes...)
+	})
+	if allocs > evalAllocCeiling {
+		t.Errorf("evaluating %d regexes over 200 items = %v allocs/op, want <= %d", len(nc.Regexes), allocs, evalAllocCeiling)
+	}
+}

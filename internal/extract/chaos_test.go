@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,35 +63,60 @@ func TestChaosStreamCancelClosesOutput(t *testing.T) {
 
 // TestChaosStreamAbandonedConsumerNoLeak pins the documented contract:
 // a consumer that cancels ctx may abandon the output channel without
-// draining it, and every pipeline goroutine still exits.
+// draining it, and every pipeline goroutine still exits. The full-buffer
+// case feeds two chunks, waits until the first fills the output buffer
+// and the pipeline has settled to the one goroutine holding the second,
+// and only then cancels: that goroutine is blocked sending, so only its
+// ctx arm lets it exit.
 func TestChaosStreamAbandonedConsumerNoLeak(t *testing.T) {
-	ncs := syntheticNCs(t, 20)
-	c := New(ncs, WithWorkers(4))
-	defer leaktest.Check(t)()
+	for _, tc := range []struct {
+		name  string
+		hosts int // fed before closing in; 0 feeds until cancelled
+	}{
+		{"after-first-result", 0},
+		{"full-buffer", 2 * streamChunk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ncs := syntheticNCs(t, 20)
+			c := New(ncs, WithWorkers(4))
+			base := runtime.NumGoroutine()
+			defer leaktest.Wait(t, base)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan string)
-	feederDone := make(chan struct{})
-	go func() {
-		defer close(feederDone)
-		rng := rand.New(rand.NewSource(12))
-		for {
-			select {
-			case in <- randomHost(rng, ncs):
-			case <-ctx.Done():
-				return
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			in := make(chan string)
+			feederDone := make(chan struct{})
+			go func() {
+				defer close(feederDone)
+				rng := rand.New(rand.NewSource(12))
+				for i := 0; tc.hosts == 0 || i < tc.hosts; i++ {
+					select {
+					case in <- randomHost(rng, ncs):
+					case <-ctx.Done():
+						return
+					}
+				}
+				close(in)
+			}()
+
+			out := c.ExtractStream(ctx, in)
+			if tc.hosts > 0 {
+				fullBy := time.Now().Add(10 * time.Second)
+				for len(out) < cap(out) {
+					if time.Now().After(fullBy) {
+						t.Fatalf("output buffer holds %d of %d results after 10s", len(out), cap(out))
+					}
+					time.Sleep(time.Millisecond)
+				}
+				leaktest.Wait(t, base+1)
+			} else if _, ok := <-out; !ok {
+				t.Fatal("no first result")
 			}
-		}
-	}()
-
-	out := c.ExtractStream(ctx, in)
-	if _, ok := <-out; !ok {
-		t.Fatal("no first result")
+			cancel()
+			// The consumer walks away here: out is never read again.
+			<-feederDone
+		})
 	}
-	cancel()
-	// The consumer walks away here: out is never read again.
-	<-feederDone
 }
 
 // TestChaosStreamStallCancelLatency: with every worker stalled by

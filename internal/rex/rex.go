@@ -339,7 +339,6 @@ func (r *Regex) Equal(o *Regex) bool {
 // Compile returns the compiled form (cached).
 func (r *Regex) Compile() (*regexp.Regexp, error) {
 	if r.re == nil {
-		//hoiho:recompile-ok this is the compile-once cache itself: the result is stored on r.re and every later call returns it
 		re, err := regexp.Compile(r.String())
 		if err != nil {
 			return nil, fmt.Errorf("rex: compile %q: %w", r.String(), err)
@@ -420,7 +419,6 @@ func (r *Regex) AppendTokenSpans(dst [][2]int, hostname string) (spans [][2]int,
 			sb.WriteByte(')')
 		}
 		sb.WriteByte('$')
-		//hoiho:recompile-ok compile-once cache for the instrumented span matcher: stored on r.inRe, rebuilt never
 		re, err := regexp.Compile(sb.String())
 		if err != nil {
 			return dst[:0], false

@@ -227,7 +227,15 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: rollout corpus exceeds byte cap", http.StatusRequestEntityTooLarge)
 		return
 	}
-	epoch, _ := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
+	// A missing epoch means 0 (a direct node call outside any rollout);
+	// a malformed one is refused before anything is staged or recorded.
+	var epoch uint64
+	if v := r.URL.Query().Get("epoch"); v != "" {
+		if epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
+			http.Error(w, fmt.Sprintf("serve: rollout prepare: invalid epoch parameter %q", v), http.StatusBadRequest)
+			return
+		}
+	}
 	fp, gen, err := s.PrepareCorpus(data, epoch)
 	if err != nil {
 		s.logf("rollout prepare rejected: %v", err)

@@ -88,6 +88,21 @@ func TestPrepareRejectsCorrupt(t *testing.T) {
 	if st.ReloadFailures != 1 {
 		t.Errorf("reload_failures = %d, want 1", st.ReloadFailures)
 	}
+
+	// A malformed epoch fails closed: 400 naming the parameter, nothing
+	// staged, and the node's last rollout still the failure above.
+	last := *st.LastRollout
+	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=abc", corpusJSON("second"))
+	if w.Code != 400 || !strings.Contains(w.Body.String(), "epoch") {
+		t.Fatalf("prepare with ?epoch=abc = %d %q, want 400 naming epoch", w.Code, w.Body.String())
+	}
+	st = s.StatusNow()
+	if st.PreparedFingerprint != "" {
+		t.Errorf("a malformed epoch staged %s", st.PreparedFingerprint)
+	}
+	if st.LastRollout == nil || *st.LastRollout != last {
+		t.Errorf("a malformed epoch changed last_rollout to %+v, want %+v", st.LastRollout, last)
+	}
 }
 
 func TestValidateAndCommitWithoutPrepare(t *testing.T) {
