@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -137,7 +138,11 @@ func TestRunRouteAndShutdown(t *testing.T) {
 	}
 
 	code, body, hdr := get("/extract?host=as64500-r7.routed.net")
-	if code != http.StatusOK || !strings.Contains(body, `"asn": 64500`) {
+	var answer struct {
+		Found bool   `json:"found"`
+		ASN   uint32 `json:"asn"`
+	}
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &answer) != nil || !answer.Found || answer.ASN != 64500 {
 		t.Fatalf("extract through router = %d %s", code, body)
 	}
 	if hdr.Get("X-Hoiho-Node") == "" || hdr.Get("X-Hoiho-Corpus") == "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,7 +118,7 @@ func TestRunServeReloadDrain(t *testing.T) {
 	if code, _ := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz = %d", code)
 	}
-	if code, body := get("/extract?host=as64500-r7.daemon.net"); code != http.StatusOK || !strings.Contains(body, `"asn": 64500`) {
+	if code, body := get("/extract?host=as64500-r7.daemon.net"); code != http.StatusOK || answerASN(t, body) != 64500 {
 		t.Fatalf("extract = %d %s, want asn 64500", code, body)
 	}
 
@@ -128,7 +129,7 @@ func TestRunServeReloadDrain(t *testing.T) {
 	}
 	reloaded := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if code, body := get("/extract?host=as64500-r7.daemon.net"); code == http.StatusOK && strings.Contains(body, `"asn": 7`) {
+		if code, body := get("/extract?host=as64500-r7.daemon.net"); code == http.StatusOK && answerASN(t, body) == 7 {
 			reloaded = true
 			break
 		}
@@ -151,4 +152,18 @@ func TestRunServeReloadDrain(t *testing.T) {
 	if !strings.Contains(buf.String(), "drained cleanly") {
 		t.Errorf("log missing drain confirmation:\n%s", buf.String())
 	}
+}
+
+// answerASN decodes an extraction answer and returns its ASN, failing
+// the test unless it is a hit.
+func answerASN(t *testing.T, body string) uint32 {
+	t.Helper()
+	var a struct {
+		Found bool   `json:"found"`
+		ASN   uint32 `json:"asn"`
+	}
+	if err := json.Unmarshal([]byte(body), &a); err != nil || !a.Found {
+		t.Fatalf("answer %q is not a hit: %v", body, err)
+	}
+	return a.ASN
 }

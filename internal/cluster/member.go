@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -104,6 +105,9 @@ func (rt *Router) probe(ctx context.Context, m *member) bool {
 		m.noteProbeErr(err)
 		return false
 	}
+	// Read the short reply ("ready\n") before closing, or the transport
+	// drops the connection and the next probe dials a new one.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		m.noteProbeErr(fmt.Errorf("cluster: probe %s: readyz returned %d", m.name, resp.StatusCode))

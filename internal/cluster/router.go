@@ -4,26 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"hoiho/internal/faultinject"
 	"hoiho/internal/serve"
 )
-
-// maxProxyRespBytes caps a buffered upstream response. A single answer
-// is small, but a batch inside the node's default 8 MiB body cap can
-// render well past it.
-const maxProxyRespBytes = 32 << 20
-
-// errResponseTooLarge is a node answer over maxProxyRespBytes. The
-// router answers it with a 502 naming the cap and does not fail over:
-// every node would render the same answer.
-var errResponseTooLarge = fmt.Errorf("cluster: upstream response exceeds the %d-byte cap", maxProxyRespBytes)
 
 // Handler returns the router's full HTTP surface. Extraction endpoints
 // shard and forward; health endpoints report the router's own view;
@@ -95,11 +83,18 @@ func (rt *Router) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, rt.shardKey(first), body, false)
 }
 
-// firstHostLine returns the first non-blank line of a batch body.
+// firstHostLine returns the first non-blank line of a batch body,
+// reading no further than that line.
 func firstHostLine(body []byte) string {
-	for _, line := range strings.Split(string(body), "\n") {
-		if h := strings.TrimSpace(line); h != "" {
-			return h
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		if h := bytes.TrimSpace(line); len(h) > 0 {
+			return string(h)
 		}
 	}
 	return ""
@@ -108,9 +103,9 @@ func firstHostLine(body []byte) string {
 // attemptResult is one forwarding attempt's outcome, tagged with the
 // candidate index so the select loop knows which node produced it.
 type attemptResult struct {
-	idx int
-	res *proxyResult
-	err error
+	idx  int
+	resp *http.Response // body still open
+	err  error
 }
 
 // forward routes one request to its shard: replicas in preference
@@ -118,7 +113,9 @@ type attemptResult struct {
 // latency budget, and a degraded fallback to healthy non-owners when
 // the whole replica set is down. Exhausting every candidate sheds the
 // request with the serve taxonomy (503 + jittered Retry-After); the
-// router's own deadline expiring sheds it as 504.
+// router's own deadline expiring sheds it as 504. Failover is decided
+// on an answer's status, before any byte of it is relayed; the chosen
+// answer then streams through unbuffered.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte, hedge bool) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
@@ -141,10 +138,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		}
 	}()
 
-	// Buffered to the candidate count: every attempt goroutine can
-	// deliver (or fall through its default arm) and exit even if the
-	// handler has already returned.
-	replies := make(chan attemptResult, len(candidates))
+	// Unbuffered: an attempt either hands its reply to the loop below
+	// or, once forward has returned and ctx is cancelled, closes the
+	// reply's body itself. Either way no unrelayed body (a hedge loser,
+	// a reply that lands after the choice) outlives the request.
+	replies := make(chan attemptResult)
 	launched, pending := 0, 0
 	launch := func() {
 		i := launched
@@ -155,10 +153,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		cancels = append(cancels, acancel)
 		rt.stats.forwards.Add(1)
 		go func() {
-			res, err := rt.proxy(actx, m, r.Method, r.URL.Path, r.URL.RawQuery, body)
+			resp, err := rt.proxy(actx, m, r.Method, r.URL.Path, r.URL.RawQuery, body)
 			select {
-			case replies <- attemptResult{idx: i, res: res, err: err}:
-			default:
+			case replies <- attemptResult{idx: i, resp: resp, err: err}:
+			case <-ctx.Done():
+				if resp != nil {
+					resp.Body.Close()
+				}
 			}
 		}()
 	}
@@ -176,17 +177,15 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		case ar := <-replies:
 			pending--
 			m := candidates[ar.idx]
-			if errors.Is(ar.err, errResponseTooLarge) {
-				http.Error(w, ar.err.Error(), http.StatusBadGateway)
-				return
-			}
 			if ar.err != nil {
 				// Transport-level failure: the node is unreachable right
 				// now; demote it and fail over.
 				rt.markUnhealthy(m, ar.err)
-			} else if !retryableStatus(ar.res.status) {
-				rt.writeProxied(w, ar.res, m.name, ar.idx >= owners)
+			} else if !retryableStatus(ar.resp.StatusCode) {
+				rt.writeProxied(w, ar.resp, m.name, ar.idx >= owners)
 				return
+			} else {
+				ar.resp.Body.Close()
 			}
 			// Retryable (transport error, 429, or 5xx): try the next
 			// candidate if any remain un-launched.
@@ -259,17 +258,11 @@ func retryableStatus(status int) bool {
 	return status == http.StatusTooManyRequests || status >= 500
 }
 
-// proxyResult is one buffered upstream response.
-type proxyResult struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// proxy performs one forwarding attempt against m and buffers the
-// response. The faultinject hook (keyed by node name) lets chaos tests
-// fail specific nodes' forwards deterministically.
-func (rt *Router) proxy(ctx context.Context, m *member, method, path, rawQuery string, body []byte) (*proxyResult, error) {
+// proxy performs one forwarding attempt against m and returns the
+// response with its body open; the caller relays or closes it. The
+// faultinject hook (keyed by node name) lets chaos tests fail specific
+// nodes' forwards deterministically.
+func (rt *Router) proxy(ctx context.Context, m *member, method, path, rawQuery string, body []byte) (*http.Response, error) {
 	if err := faultinject.Fire(ctx, faultinject.StageClusterForward, m.name); err != nil {
 		return nil, &ForwardError{Node: m.name, Err: err}
 	}
@@ -287,15 +280,7 @@ func (rt *Router) proxy(ctx context.Context, m *member, method, path, rawQuery s
 	if err != nil {
 		return nil, &ForwardError{Node: m.name, Err: err}
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes+1))
-	if err != nil {
-		return nil, &ForwardError{Node: m.name, Err: err}
-	}
-	if len(b) > maxProxyRespBytes {
-		return nil, &ForwardError{Node: m.name, Err: errResponseTooLarge}
-	}
-	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b}, nil
+	return resp, nil
 }
 
 // proxiedHeaders are the upstream headers forwarded to the client: the
@@ -308,13 +293,16 @@ var proxiedHeaders = []string{
 	"Retry-After",
 }
 
-// writeProxied relays an upstream response, adding the serving node's
-// identity and, when the answer came from off the shard's replica set,
-// an explicit degraded marker — correct (full corpus everywhere) but
-// misplaced, and the client deserves to know.
-func (rt *Router) writeProxied(w http.ResponseWriter, res *proxyResult, node string, degraded bool) {
+// writeProxied relays an upstream response as it arrives and closes
+// it, adding the serving node's identity and, when the answer came from
+// off the shard's replica set, an explicit degraded marker — correct
+// (full corpus everywhere) but misplaced, and the client deserves to
+// know. A body that fails mid-copy aborts the client's connection, so a
+// cut-off answer never reads as a complete one under the node's status.
+func (rt *Router) writeProxied(w http.ResponseWriter, resp *http.Response, node string, degraded bool) {
+	defer resp.Body.Close()
 	for _, h := range proxiedHeaders {
-		if v := res.header.Get(h); v != "" {
+		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
@@ -323,8 +311,10 @@ func (rt *Router) writeProxied(w http.ResponseWriter, res *proxyResult, node str
 		rt.stats.degraded.Add(1)
 		w.Header().Set("X-Hoiho-Degraded", "shard-owners-unavailable")
 	}
-	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.WriteHeader(resp.StatusCode)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // shed writes the router's 503: all candidates exhausted (or none

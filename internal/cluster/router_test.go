@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hoiho/internal/faultinject"
+	"hoiho/internal/leaktest"
 )
 
 // extractReply mirrors the node's extraction response body.
@@ -114,11 +117,12 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
-// TestRouterOversizedAnswer: a node answer one byte over the router's
-// response cap becomes a 502 naming the cap — never the cut-off prefix
-// under the node's 200 — and is not failed over, since every node
-// renders the same answer.
-func TestRouterOversizedAnswer(t *testing.T) {
+// TestRouterRelayCutAborts: a node that sends 200 and half a JSON
+// array, then dies, must not reach the client as a complete answer. The
+// router has relayed the first half by then, so it cannot fail over; it
+// aborts the client's connection instead, and the client's body read
+// fails rather than ending in a clean EOF under 200.
+func TestRouterRelayCutAborts(t *testing.T) {
 	var hits atomic.Int32
 	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
@@ -126,7 +130,13 @@ func TestRouterOversizedAnswer(t *testing.T) {
 		}
 		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(bytes.Repeat([]byte(" "), maxProxyRespBytes+1))
+		w.WriteHeader(http.StatusOK)
+		// Far past every buffer between node and client, so the router
+		// has relayed part of the answer before the cut.
+		w.Write([]byte("["))
+		w.Write(bytes.Repeat([]byte(`{"hostname":"a1.x.net","found":false},`), 2000))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
 	})
 	nodes := make([]*testNode, 2)
 	for i := range nodes {
@@ -134,18 +144,140 @@ func TestRouterOversizedAnswer(t *testing.T) {
 		t.Cleanup(nodes[i].ts.Close)
 	}
 	rt := newTestRouter(t, nodes, nil)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	defer front.Client().CloseIdleConnections()
 
-	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/extract", strings.NewReader("a1.x.net\n")))
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("oversized answer relayed as %d (%d bytes), want 502", w.Code, w.Body.Len())
+	resp, err := front.Client().Post(front.URL+"/extract", "text/plain", strings.NewReader("a1.x.net\n"))
+	if err != nil {
+		t.Fatalf("the relay began before the cut, so the client must see its headers: %v", err)
 	}
-	if want := strconv.Itoa(maxProxyRespBytes) + "-byte cap"; !strings.Contains(w.Body.String(), want) {
-		t.Errorf("502 body %q does not name the %s", w.Body.String(), want)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil {
+		t.Fatalf("cut answer read to a clean EOF under %d (%d bytes)", resp.StatusCode, len(body))
+	}
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Errorf("relay before the cut = %d with %d bytes, want the node's 200 and a partial body", resp.StatusCode, len(body))
 	}
 	if n := hits.Load(); n != 1 {
-		t.Errorf("oversized answer forwarded to %d nodes, want 1", n)
+		t.Errorf("cut answer forwarded to %d nodes, want 1 (no failover after the first byte)", n)
 	}
+}
+
+// bodyCounter is a RoundTripper that counts the response bodies it
+// hands out and how many are still open.
+type bodyCounter struct {
+	base   *http.Transport
+	opened atomic.Int32
+	open   atomic.Int32
+	// read is closed at the first read of any body; second when the
+	// second response is handed out.
+	read, second chan struct{}
+	readOnce     sync.Once
+}
+
+func (c *bodyCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	if c.opened.Add(1) == 2 {
+		close(c.second)
+	}
+	resp.Body = &countedBody{ReadCloser: resp.Body, c: c}
+	return resp, nil
+}
+
+func (c *bodyCounter) CloseIdleConnections() { c.base.CloseIdleConnections() }
+
+type countedBody struct {
+	io.ReadCloser
+	c    *bodyCounter
+	once sync.Once
+}
+
+func (b *countedBody) Read(p []byte) (int, error) {
+	b.c.readOnce.Do(func() { close(b.c.read) })
+	return b.ReadCloser.Read(p)
+}
+
+func (b *countedBody) Close() error {
+	b.once.Do(func() { b.c.open.Add(-1) })
+	return b.ReadCloser.Close()
+}
+
+// TestRouterHedgeLoserClosed: a hedged GET where both attempts answer
+// 200. The hedge's answer is relayed; the primary's arrives while the
+// relay is still running and must be closed, not left open. Once the
+// router's idle connections close, no goroutine or connection the
+// request started is left.
+func TestRouterHedgeLoserClosed(t *testing.T) {
+	const host = "as2-pod6.cluster5.net"
+	var primary atomic.Pointer[string]
+	counter := &bodyCounter{base: &http.Transport{}, read: make(chan struct{}), second: make(chan struct{})}
+	wait := func(c <-chan struct{}) {
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if "http://"+r.Host == *primary.Load() {
+			// The primary stalls past the hedge budget, then answers in
+			// full once the router has begun relaying the hedge's answer.
+			wait(counter.read)
+			fmt.Fprintf(w, `{"hostname":%q,"found":true,"asn":2}`+"\n", host)
+			return
+		}
+		// The hedge answers first, holding back the rest of its body
+		// until the primary's answer has reached the router.
+		fmt.Fprintf(w, `{"hostname":%q,`, host)
+		w.(http.Flusher).Flush()
+		wait(counter.second)
+		fmt.Fprint(w, `"found":true,"asn":2}`+"\n")
+	})
+	nodes := make([]*testNode, 2)
+	urls := make([]string, len(nodes))
+	for i := range nodes {
+		nodes[i] = &testNode{ts: httptest.NewServer(stub)}
+		t.Cleanup(nodes[i].ts.Close)
+		urls[i] = nodes[i].url()
+	}
+	defer leaktest.Check(t)()
+
+	// No probe loop: the members are marked healthy by hand, so every
+	// goroutine and connection after the baseline belongs to the request.
+	rt, err := NewRouter(Config{Nodes: urls, HedgeAfter: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.client.Transport = counter
+	for _, m := range rt.view.Load().members {
+		m.healthy.Store(true)
+	}
+	owner := rt.view.Load().ring.Owners(rt.shardKey(host))[0]
+	primary.Store(&owner)
+
+	w, rep := doGet(t, rt, "/extract?host="+host)
+	if w.Code != 200 || !rep.Found || rep.ASN != 2 {
+		t.Fatalf("hedged GET = %d %+v: %s", w.Code, rep, w.Body.String())
+	}
+	if got := w.Header().Get("X-Hoiho-Node"); got == owner {
+		t.Errorf("served by the stalled primary %s, want the hedge", got)
+	}
+	if n := counter.opened.Load(); n != 2 {
+		t.Fatalf("%d upstream answers reached the router, want both attempts'", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); counter.open.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d unrelayed upstream bodies left open", counter.open.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rt.client.CloseIdleConnections()
 }
 
 // TestRouterFailover: when a shard's primary cannot be reached, the

@@ -37,6 +37,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,36 +296,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// extractResponse is the JSON body of a single extraction.
-type extractResponse struct {
-	Hostname string `json:"hostname"`
-	Found    bool   `json:"found"`
-	ASN      uint32 `json:"asn,omitempty"`
-	Suffix   string `json:"suffix,omitempty"`
-	Class    string `json:"class,omitempty"`
-	Digits   string `json:"digits,omitempty"`
-}
-
-func toResponse(host string, m extract.Result) extractResponse {
-	if !m.OK {
-		return extractResponse{Hostname: host}
-	}
-	return extractResponse{
-		Hostname: host,
-		Found:    true,
-		ASN:      uint32(m.ASN),
-		Suffix:   m.Suffix,
-		Class:    m.Class.String(),
-		Digits:   m.Digits,
-	}
-}
-
 // stamp marks the response with the exact corpus snapshot that produced
 // it, so consumers (and the reload chaos tests) can detect mixed or
 // misrouted responses across hot swaps.
 func stamp(w http.ResponseWriter, snap *snapshot) {
 	w.Header().Set("X-Hoiho-Corpus", snap.corpus.FingerprintString())
-	w.Header().Set("X-Hoiho-Generation", fmt.Sprintf("%d", snap.generation))
+	w.Header().Set("X-Hoiho-Generation", strconv.FormatUint(snap.generation, 10))
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
@@ -353,7 +330,10 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.stats.found.Add(1)
 	}
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, toResponse(host, m))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := appendAnswer(make([]byte, 0, 96+2*len(host)), host, m)
+	w.Write(append(buf, '\n'))
 }
 
 // handleExtractBatch reads newline-separated hostnames (bounded by
@@ -382,14 +362,85 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err, s.cfg.QueueWait)
 		return
 	}
-	out := make([]extractResponse, len(results))
-	for i, res := range results {
-		out[i] = toResponse(hosts[i], res)
-	}
 	s.stats.served.Add(1)
 	s.stats.found.Add(countFound(results))
 	stamp(w, snap)
-	writeJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	writeAnswers(w, hosts, results)
+}
+
+// answerFlushBytes is the batch answer's write buffer: the encoded
+// array goes out in chunks of about this size, so a batch of any length
+// costs one fixed buffer instead of its whole rendered answer.
+const answerFlushBytes = 64 << 10
+
+// writeAnswers streams a batch answer, the JSON array of one answer per
+// host, through a fixed buffer, sized down for a small batch and with
+// room past the flush mark for one more answer. A write error means the
+// client is gone, so encoding stops there.
+func writeAnswers(w io.Writer, hosts []string, results []extract.Result) {
+	buf := make([]byte, 0, min(128*len(hosts), answerFlushBytes)+1<<10)
+	buf = append(buf, '[')
+	for i, res := range results {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendAnswer(buf, hosts[i], res)
+		if len(buf) >= answerFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
+			buf = buf[:0]
+		}
+	}
+	w.Write(append(buf, ']', '\n'))
+}
+
+// appendAnswer appends one extraction answer to dst: the JSON object
+// {"hostname","found","asn","suffix","class","digits"}, with asn and
+// the strings omitted when zero and only hostname and found on a miss.
+// It is the one encoder of extraction answers. Its output is byte for
+// byte what json.Marshal renders for those six fields as a struct with
+// omitempty tags; the tests keep that struct as the oracle.
+func appendAnswer(dst []byte, host string, r extract.Result) []byte {
+	dst = append(dst, `{"hostname":`...)
+	dst = appendString(dst, host)
+	if !r.OK {
+		return append(dst, `,"found":false}`...)
+	}
+	dst = append(dst, `,"found":true`...)
+	if r.ASN != 0 {
+		dst = append(dst, `,"asn":`...)
+		dst = strconv.AppendUint(dst, uint64(r.ASN), 10)
+	}
+	if r.Suffix != "" {
+		dst = append(dst, `,"suffix":`...)
+		dst = appendString(dst, r.Suffix)
+	}
+	dst = append(dst, `,"class":`...)
+	dst = appendString(dst, r.Class.String())
+	if r.Digits != "" {
+		dst = append(dst, `,"digits":`...)
+		dst = appendString(dst, r.Digits)
+	}
+	return append(dst, '}')
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than
+// the characters encoding/json escapes ("\<>&) is copied as is; any
+// other string, which hostnames almost never are, takes json.Marshal's
+// escaping.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func countFound(results []extract.Result) uint64 {
@@ -528,7 +579,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 // readHostLines parses a batch body: one hostname per line, blank
 // lines skipped, total size bounded by maxBytes so a hostile client
-// cannot buffer the daemon into an OOM.
+// cannot buffer the daemon into an OOM. The body is read whole, so an
+// oversized or empty batch is refused before any answer byte is
+// written; the hostnames are substrings of one copy of it.
 func readHostLines(r *http.Request, maxBytes int64) ([]string, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
 	if err != nil {
@@ -538,7 +591,13 @@ func readHostLines(r *http.Request, maxBytes int64) ([]string, error) {
 		return nil, fmt.Errorf("serve: batch body exceeds %d-byte cap", maxBytes)
 	}
 	var hosts []string
-	for _, line := range strings.Split(string(body), "\n") {
+	for rest := string(body); rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		if h := strings.TrimSpace(line); h != "" {
 			hosts = append(hosts, h)
 		}
@@ -549,6 +608,8 @@ func readHostLines(r *http.Request, maxBytes int64) ([]string, error) {
 	return hosts, nil
 }
 
+// writeJSON writes an admin or status document, indented for operators
+// (extraction answers are compact; see appendAnswer).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -127,8 +128,9 @@ func TestExtractEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %q", w.Code, w.Body.String())
 	}
-	if got := w.Body.String(); !strings.Contains(got, `"asn": 7018`) || !strings.Contains(got, `"found": true`) {
-		t.Errorf("body = %s, want found asn 7018", got)
+	want := extractResponse{Hostname: "as7018-pod42.serve3.net", Found: true, ASN: 7018, Suffix: "serve3.net", Class: "good", Digits: "7018"}
+	if got := decodeAnswer(t, w); got != want {
+		t.Errorf("answer = %+v, want %+v", got, want)
 	}
 	if fp := w.Header().Get("X-Hoiho-Corpus"); fp != fingerprintOf(t, "first") {
 		t.Errorf("X-Hoiho-Corpus = %q, want the first-variant fingerprint", fp)
@@ -139,8 +141,10 @@ func TestExtractEndpoint(t *testing.T) {
 
 	// A governed suffix with no match is found:false, still a 200.
 	w = doReq(t, h, "GET", "/extract?host=lo0.rt1.serve3.net", "")
-	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"found": false`) {
-		t.Errorf("miss: status %d body %s, want 200 found:false", w.Code, w.Body.String())
+	if w.Code != http.StatusOK {
+		t.Errorf("miss: status %d body %s, want 200", w.Code, w.Body.String())
+	} else if got := decodeAnswer(t, w); got != (extractResponse{Hostname: "lo0.rt1.serve3.net"}) {
+		t.Errorf("miss: answer %+v, want found:false", got)
 	}
 
 	// Missing the host parameter is the caller's error.
@@ -158,11 +162,17 @@ func TestExtractBatchEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %q", w.Code, w.Body.String())
 	}
-	got := w.Body.String()
-	for _, want := range []string{`"asn": 100`, `"asn": 200`, `"found": false`} {
-		if !strings.Contains(got, want) {
-			t.Errorf("batch body missing %s:\n%s", want, got)
-		}
+	var got []extractResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatalf("batch answer %q does not decode: %v", w.Body.String(), err)
+	}
+	want := []extractResponse{
+		{Hostname: "as100-pod1.serve0.net", Found: true, ASN: 100, Suffix: "serve0.net", Class: "good", Digits: "100"},
+		{Hostname: "as200-pod2.serve1.net", Found: true, ASN: 200, Suffix: "serve1.net", Class: "good", Digits: "200"},
+		{Hostname: "unknown.example.org"},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("batch answer = %+v, want %+v", got, want)
 	}
 
 	if w = doReq(t, h, "POST", "/extract", "\n\n"); w.Code != http.StatusBadRequest {
@@ -212,8 +222,8 @@ func TestReloadAndRollback(t *testing.T) {
 	h := s.Handler()
 	const host = "/extract?host=as111-pod222.serve5.net"
 
-	if w := doReq(t, h, "GET", host, ""); !strings.Contains(w.Body.String(), `"asn": 111`) {
-		t.Fatalf("boot corpus: body %s, want asn 111", w.Body.String())
+	if a := decodeAnswer(t, doReq(t, h, "GET", host, "")); a.ASN != 111 {
+		t.Fatalf("boot corpus: answer %+v, want asn 111", a)
 	}
 
 	// A rollback before any reload has nothing to return to.
@@ -226,8 +236,8 @@ func TestReloadAndRollback(t *testing.T) {
 		t.Fatalf("reload = %d, body %q", w.Code, w.Body.String())
 	}
 	w := doReq(t, h, "GET", host, "")
-	if !strings.Contains(w.Body.String(), `"asn": 222`) {
-		t.Fatalf("after reload: body %s, want asn 222", w.Body.String())
+	if a := decodeAnswer(t, w); a.ASN != 222 {
+		t.Fatalf("after reload: answer %+v, want asn 222", a)
 	}
 	if gen := w.Header().Get("X-Hoiho-Generation"); gen != "2" {
 		t.Errorf("generation after reload = %q, want 2", gen)
@@ -238,8 +248,8 @@ func TestReloadAndRollback(t *testing.T) {
 		t.Fatalf("rollback = %d, body %q", w.Code, w.Body.String())
 	}
 	w = doReq(t, h, "GET", host, "")
-	if !strings.Contains(w.Body.String(), `"asn": 111`) {
-		t.Fatalf("after rollback: body %s, want asn 111", w.Body.String())
+	if a := decodeAnswer(t, w); a.ASN != 111 {
+		t.Fatalf("after rollback: answer %+v, want asn 111", a)
 	}
 	if gen := w.Header().Get("X-Hoiho-Generation"); gen != "3" {
 		t.Errorf("generation after rollback = %q, want 3", gen)
@@ -301,8 +311,11 @@ func TestCorruptReloadKeepsServing(t *testing.T) {
 			t.Errorf("corrupt reload %q = %d, want 422", corrupt, w.Code)
 		}
 		w = doReq(t, h, "GET", host, "")
-		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"asn": 9`) {
+		if w.Code != http.StatusOK {
 			t.Fatalf("after corrupt reload: status %d body %s, want old corpus serving", w.Code, w.Body.String())
+		}
+		if a := decodeAnswer(t, w); a.ASN != 9 {
+			t.Fatalf("after corrupt reload: answer %+v, want asn 9 from the old corpus", a)
 		}
 		if fp := w.Header().Get("X-Hoiho-Corpus"); fp != fpFirst {
 			t.Errorf("after corrupt reload: fingerprint %q, want original %q", fp, fpFirst)
