@@ -9,6 +9,7 @@ import (
 	"hoiho/internal/asn"
 	"hoiho/internal/bdrmapit"
 	"hoiho/internal/core"
+	"hoiho/internal/extract"
 	"hoiho/internal/itdk"
 	"hoiho/internal/psl"
 	"hoiho/internal/topo"
@@ -59,7 +60,8 @@ func writeArtifacts(t *testing.T, itdkPath, tracesPath, bgpPath, relPath, orgsPa
 	write(orgsPath, func(f *os.File) error { _, err := world.Orgs.WriteTo(f); return err })
 }
 
-// writeNCs learns conventions from the snapshot and serializes them.
+// writeNCs learns conventions from the snapshot and saves them as the
+// HBC corpus `hoiho -save` writes.
 func writeNCs(t *testing.T, itdkPath, ncsPath string) {
 	t.Helper()
 	f, err := os.Open(itdkPath)
@@ -76,11 +78,7 @@ func writeNCs(t *testing.T, itdkPath, ncsPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := core.MarshalNCs(ncs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ncsPath, data, 0o644); err != nil {
+	if err := extract.New(ncs).SaveFile(ncsPath); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,13 +11,13 @@
 //	-itdk    ITDK snapshot supplying alias sets and PTRs     [required]
 //	-rel     AS relationships (CAIDA as-rel format)          [optional]
 //	-orgs    AS-to-organization map, "asn|org" lines         [optional]
-//	-ncs     learned conventions JSON (from hoiho -json)     [optional]
+//	-ncs     learned conventions, HBC (from hoiho -save)     [optional]
 //
 // Example:
 //
 //	itdkgen -o itdk.txt -traces tr.txt -bgp bgp.txt -rel rel.txt -orgs orgs.txt
-//	hoiho -json -format itdk itdk.txt > ncs.json
-//	bdrmapit -itdk itdk.txt -traces tr.txt -bgp bgp.txt -rel rel.txt -orgs orgs.txt -ncs ncs.json
+//	hoiho -save ncs.hbc -format itdk itdk.txt
+//	bdrmapit -itdk itdk.txt -traces tr.txt -bgp bgp.txt -rel rel.txt -orgs orgs.txt -ncs ncs.hbc
 package main
 
 import (
@@ -33,7 +33,7 @@ import (
 	"hoiho/internal/asn"
 	"hoiho/internal/bdrmapit"
 	"hoiho/internal/bgp"
-	"hoiho/internal/core"
+	"hoiho/internal/extract"
 	"hoiho/internal/itdk"
 	"hoiho/internal/traceroute"
 )
@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	itdkPath := fs.String("itdk", "", "ITDK snapshot for alias sets and PTR records (required)")
 	relPath := fs.String("rel", "", "AS relationships file")
 	orgsPath := fs.String("orgs", "", "AS-to-organization file")
-	ncsPath := fs.String("ncs", "", "learned conventions JSON; enables the §5 modification")
+	ncsPath := fs.String("ncs", "", "learned conventions, the HBC corpus hoiho -save writes; enables the §5 modification")
 	showDecisions := fs.Bool("decisions", true, "print hostname decisions")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,15 +116,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
-	data, err := os.ReadFile(*ncsPath)
+	conventions, err := extract.LoadFile(*ncsPath)
 	if err != nil {
 		return err
 	}
-	ncs, err := core.UnmarshalNCs(data)
-	if err != nil {
-		return err
-	}
-	res := an.AnnotateWithNCs(ctx, ncs)
+	res := an.AnnotateWithCorpus(ctx, conventions)
 	for _, n := range graph.Nodes {
 		marker := ""
 		if res.Annotations[n.ID] != res.Initial[n.ID] {

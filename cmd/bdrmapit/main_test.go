@@ -41,8 +41,8 @@ func TestRunWithoutNCs(t *testing.T) {
 
 func TestRunWithNCs(t *testing.T) {
 	itdkPath, tracesPath, bgpPath, relPath, orgsPath := genInputs(t)
-	// Learn conventions with the hoiho library and feed the JSON in.
-	ncsPath := filepath.Join(t.TempDir(), "ncs.json")
+	// Learn conventions with the hoiho library and feed the corpus in.
+	ncsPath := filepath.Join(t.TempDir(), "ncs.hbc")
 	writeNCs(t, itdkPath, ncsPath)
 
 	var out bytes.Buffer
@@ -79,5 +79,15 @@ func TestRunBadNCs(t *testing.T) {
 	err := run(context.Background(), []string{"-itdk", itdkPath, "-traces", tracesPath, "-bgp", bgpPath, "-ncs", bad}, &out)
 	if err == nil {
 		t.Error("bad NC JSON should error")
+	}
+	// A well-formed JSON corpus (the `hoiho -json` form) is for reading:
+	// -ncs refuses it and names the loadable form.
+	ncsJSON := filepath.Join(t.TempDir(), "ncs.json")
+	if err := os.WriteFile(ncsJSON, []byte(`[{"suffix":"example.net","regexes":["^as(\\d+)\\.example\\.net$"],"class":"good"}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"-itdk", itdkPath, "-traces", tracesPath, "-bgp", bgpPath, "-ncs", ncsJSON}, &out)
+	if err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+		t.Errorf("-ncs with a JSON corpus: err %v, want a refusal naming `hoiho -save`", err)
 	}
 }

@@ -11,17 +11,16 @@
 // including per-regex evaluation and the good/promising/poor class.
 //
 // A learned corpus can be saved and re-applied at scale (§7's workflow):
-// -save writes the corpus after learning — the stable JSON form by
-// default, or the HBC binary form (-save-format bin, or any path ending
-// in .hbc), which loads to ready-to-serve state without JSON parsing or
-// matcher recompilation. -apply loads either form (sniffed by content)
-// and streams hostnames through the extraction engine, emitting one
-// "hostname<TAB>asn" line per match. -classes restricts application to
-// the good or usable (good+promising) conventions. The same saved file
-// is what the extraction daemon serves: `hoihod -corpus ncs.json` (or
-// `-corpus ncs.hbc` for fast cold start) exposes it over HTTP with hot
-// reload (SIGHUP picks up a re-learned file atomically), load shedding,
-// and graceful drain.
+// -save writes the corpus after learning in the HBC binary form, the one
+// format every corpus reader loads: it reaches ready-to-serve state
+// without JSON parsing or matcher recompilation. The JSON output (-json)
+// is for people to read; no program loads it. -apply loads a saved
+// corpus and streams hostnames through the extraction engine, emitting
+// one "hostname<TAB>asn" line per match. -classes restricts application
+// to the good or usable (good+promising) conventions. The same saved
+// file is what the extraction daemon serves: `hoihod -corpus ncs.hbc`
+// exposes it over HTTP with hot reload (SIGHUP picks up a re-learned
+// file atomically), load shedding, and graceful drain.
 //
 // For fleet upgrades, -diff computes the HBD rollout delta between two
 // saved corpora (`hoiho -diff old.hbc new.hbc -o patch.hbd`): a small
@@ -31,18 +30,17 @@
 // Example:
 //
 //	hoiho -format itdk itdk-2020-01.txt
-//	hoiho -json training.txt > ncs.json
-//	hoiho -save ncs.json training.txt
-//	hoiho -save ncs.hbc training.txt          # binary corpus, ~7x faster cold start
+//	hoiho -json training.txt > ncs.json       # for reading
+//	hoiho -save ncs.hbc training.txt          # for loading
 //	hoiho -apply ncs.hbc -classes usable ptr-records.txt
-//	zcat ptr.gz | hoiho -apply ncs.json -
+//	zcat ptr.gz | hoiho -apply ncs.hbc -
 //
 // Long runs are interruptible: SIGINT/SIGTERM (or -timeout) cancels the
 // pipeline cleanly, and -checkpoint/-resume let an interrupted learning
 // run pick up where it stopped:
 //
-//	hoiho -checkpoint ck.json -save ncs.json training.txt   # interrupted…
-//	hoiho -checkpoint ck.json -resume -save ncs.json training.txt
+//	hoiho -checkpoint ck.json -save ncs.hbc training.txt   # interrupted…
+//	hoiho -checkpoint ck.json -resume -save ncs.hbc training.txt
 package main
 
 import (
@@ -92,9 +90,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	matches := fs.Bool("matches", false, "show per-hostname classifications under each convention (the paper's data-supplement view)")
 	diffMode := fs.Bool("diff", false, "compute an HBD rollout delta between two saved corpora: hoiho -diff <old> <new> -o patch.hbd")
 	diffOut := fs.String("o", "", "with -diff: write the delta to this file (required)")
-	savePath := fs.String("save", "", "after learning, save the conventions to this file (format per -save-format)")
-	saveFormat := fs.String("save-format", "auto", "with -save: auto (a .hbc path writes the HBC binary corpus, anything else JSON), json, or bin")
-	applyPath := fs.String("apply", "", "apply a saved conventions JSON to hostnames from <file> (or - for stdin); emits hostname<TAB>asn")
+	savePath := fs.String("save", "", "after learning, save the conventions to this file as an HBC binary corpus")
+	applyPath := fs.String("apply", "", "apply a saved HBC corpus to hostnames from <file> (or - for stdin); emits hostname<TAB>asn")
 	classes := fs.String("classes", "usable", "with -apply: which conventions to use: good, usable, or all")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -239,23 +236,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	ncs := report.NCs
 
 	if *savePath != "" {
-		c := extract.New(ncs, extract.WithPSL(list))
-		switch *saveFormat {
-		case "auto":
-			err = c.SaveFile(*savePath)
-		case "json":
-			err = c.SaveFileJSON(*savePath)
-		case "bin":
-			err = c.SaveFileBinary(*savePath)
-		default:
-			return fmt.Errorf("unknown -save-format %q (want auto, json, or bin)", *saveFormat)
-		}
-		if err != nil {
+		if err := extract.New(ncs, extract.WithPSL(list)).SaveFile(*savePath); err != nil {
 			return err
 		}
-		// The saved file is exactly what the serving side loads — both
-		// one-shot (-apply) and the long-running daemon sniff the format
-		// by content, so JSON and HBC files are interchangeable here.
+		// The saved file is exactly what the serving side loads: one-shot
+		// (-apply), the long-running daemon, and a cluster rollout.
 		fmt.Fprintf(os.Stderr, "hoiho: saved %d conventions to %s; apply with `hoiho -apply %s <hosts>` or serve with `hoihod -corpus %s`\n",
 			len(ncs), *savePath, *savePath, *savePath)
 	}
@@ -307,7 +292,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // corpus to the new one. The delta is chained to the old corpus's
 // fingerprint, so a node (or the hoihoc coordinator) applies it only
 // against exactly that base, and applying reproduces the new corpus
-// byte for byte. Both inputs may be JSON or HBC; classes are never
+// byte for byte. Both inputs are HBC corpora; classes are never
 // filtered here — the delta describes the full corpus.
 func runDiff(oldPath, newPath, outPath string) error {
 	oldC, err := extract.LoadFile(oldPath)

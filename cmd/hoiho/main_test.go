@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hoiho/internal/core"
+	"hoiho/internal/extract"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -148,20 +149,31 @@ func TestRunAblationFlags(t *testing.T) {
 	}
 }
 
+// writeCorpus saves a hand-written corpus, given in the JSON form people
+// read, as the HBC corpus -apply loads.
+func writeCorpus(t *testing.T, name, ncsJSON string) string {
+	t.Helper()
+	ncs, err := core.UnmarshalNCs([]byte(ncsJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := extract.New(ncs).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunSaveApply(t *testing.T) {
 	// Learn + save, then apply the saved corpus to unseen hostnames.
 	train := writeFile(t, "train.txt", plainTraining)
-	ncsPath := filepath.Join(t.TempDir(), "ncs.json")
+	ncsPath := filepath.Join(t.TempDir(), "ncs.hbc")
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-save", ncsPath, train}, &out); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(ncsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ncs, err := core.UnmarshalNCs(data); err != nil || len(ncs) != 1 {
-		t.Fatalf("saved corpus: ncs=%v err=%v", ncs, err)
+	if c, err := extract.LoadFile(ncsPath); err != nil || c.Len() != 1 {
+		t.Fatalf("saved corpus: %v, err=%v", c, err)
 	}
 
 	hosts := writeFile(t, "hosts.txt", `
@@ -182,48 +194,75 @@ not-this-suffix.example.org
 }
 
 func TestRunSaveBinaryApply(t *testing.T) {
-	// -save to a .hbc path (and -save-format bin) writes the binary
-	// corpus; -apply sniffs the format and serves it identically.
+	// -save writes the HBC binary corpus whatever the path's extension;
+	// -apply serves it.
 	train := writeFile(t, "train.txt", plainTraining)
+	var out bytes.Buffer
+	hosts := writeFile(t, "hosts.txt", "as64500-ams-xe9.example.net\nlo0.fra.example.net\n")
+	for _, name := range []string{"ncs.hbc", "ncs.json"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := run(context.Background(), []string{"-save", path, train}, &out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 4 || string(data[:3]) != "HBC" {
+			t.Fatalf("-save %s wrote %.8q, want HBC magic", name, data)
+		}
+		out.Reset()
+		if err := run(context.Background(), []string{"-apply", path, hosts}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := "as64500-ams-xe9.example.net\t64500\n"; out.String() != want {
+			t.Errorf("-save %s: apply output %q, want %q", name, out.String(), want)
+		}
+	}
+}
+
+// TestRunRefusesJSONCorpus: the -json output is for reading. -apply
+// and -diff refuse it, naming the loadable form, while the same
+// conventions saved with -save apply and diff.
+func TestRunRefusesJSONCorpus(t *testing.T) {
+	train := writeFile(t, "train.txt", plainTraining)
+	var js bytes.Buffer
+	if err := run(context.Background(), []string{"-json", train}, &js); err != nil {
+		t.Fatal(err)
+	}
+	jsonPath := writeFile(t, "ncs.json", js.String())
 	hbcPath := filepath.Join(t.TempDir(), "ncs.hbc")
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-save", hbcPath, train}, &out); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(hbcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 4 || string(data[:3]) != "HBC" {
-		t.Fatalf("-save ncs.hbc wrote %.8q, want HBC magic", data)
-	}
+	hosts := writeFile(t, "hosts.txt", "as64500-ams-xe9.example.net\n")
+	patch := filepath.Join(t.TempDir(), "patch.hbd")
 
-	// -save-format bin forces the binary form onto any extension.
-	forcedPath := filepath.Join(t.TempDir(), "ncs.json")
-	if err := run(context.Background(), []string{"-save", forcedPath, "-save-format", "bin", train}, &out); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{
+		{"-apply", jsonPath, hosts},
+		{"-diff", jsonPath, hbcPath, "-o", patch},
+		{"-diff", hbcPath, jsonPath, "-o", patch},
+	} {
+		out.Reset()
+		if err := run(context.Background(), args, &out); err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+			t.Errorf("run(%v): err %v, want a refusal naming `hoiho -save`", args, err)
+		}
 	}
-	forced, err := os.ReadFile(forcedPath)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(patch); !os.IsNotExist(err) {
+		t.Errorf("a refused -diff wrote %s (stat err %v)", patch, err)
 	}
-	if string(forced[:3]) != "HBC" {
-		t.Fatalf("-save-format bin wrote %.8q, want HBC magic", forced)
+	if err := run(context.Background(), []string{"-diff", hbcPath, hbcPath, "-o", patch}, &out); err != nil {
+		t.Fatalf("-diff of two HBC corpora: %v", err)
 	}
-
-	hosts := writeFile(t, "hosts.txt", "as64500-ams-xe9.example.net\nlo0.fra.example.net\n")
-	out.Reset()
 	if err := run(context.Background(), []string{"-apply", hbcPath, hosts}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if want := "as64500-ams-xe9.example.net\t64500\n"; out.String() != want {
-		t.Errorf("apply output %q, want %q", out.String(), want)
+		t.Fatalf("-apply of the HBC corpus: %v", err)
 	}
 }
 
 func TestRunApplyClassRestriction(t *testing.T) {
 	// A hand-written corpus with one good and one poor convention.
-	ncsPath := writeFile(t, "ncs.json", `[
+	ncsPath := writeCorpus(t, "ncs.hbc", `[
   {"suffix":"good.net","regexes":["^as(\\d+)\\.good\\.net$"],"class":"good"},
   {"suffix":"poor.net","regexes":["^as(\\d+)\\.poor\\.net$"],"class":"poor"}
 ]`)
@@ -251,7 +290,7 @@ func TestRunApplyClassRestriction(t *testing.T) {
 	if err := run(context.Background(), []string{"-apply", ncsPath, "-classes", "bogus", hosts}, &out); err == nil {
 		t.Error("bogus -classes should error")
 	}
-	if err := run(context.Background(), []string{"-apply", filepath.Join(t.TempDir(), "missing.json"), hosts}, &out); err == nil {
+	if err := run(context.Background(), []string{"-apply", filepath.Join(t.TempDir(), "missing.hbc"), hosts}, &out); err == nil {
 		t.Error("missing corpus file should error")
 	}
 	bad := writeFile(t, "bad.json", "{not json")

@@ -12,10 +12,12 @@
 //	GET  /healthz                   router liveness
 //	GET  /readyz                    503 until at least one node is healthy
 //	GET  /-/cluster                 membership health, ring shape, counters
-//	POST /-/rollout                 two-phase corpus rollout: body is the
-//	                                corpus (HBC or JSON) or, with -journal,
-//	                                an HBD delta from `hoiho -diff`; commits
-//	                                on every node or aborts on all of them
+//	POST /-/rollout                 two-phase corpus rollout: body is an
+//	                                HBC corpus (`hoiho -save`) or, with
+//	                                -journal, an HBD delta from `hoiho
+//	                                -diff`; commits on every node or aborts
+//	                                on all of them; a body that does not
+//	                                decode (JSON included) is a 422
 //	POST /-/join?node=<url>         warm a node, then add it to the ring
 //	POST /-/leave?node=<url>        remove a node from the ring
 //
@@ -26,9 +28,9 @@
 //
 // Example (3-node local cluster, R=2):
 //
-//	hoihod -corpus ncs.json -addr :8081 &
-//	hoihod -corpus ncs.json -addr :8082 &
-//	hoihod -corpus ncs.json -addr :8083 &
+//	hoihod -corpus node1.hbc -addr :8081 &
+//	hoihod -corpus node2.hbc -addr :8082 &
+//	hoihod -corpus node3.hbc -addr :8083 &
 //	hoihoc -addr :8080 -nodes http://localhost:8081,http://localhost:8082,http://localhost:8083 \
 //	       -journal /var/lib/hoihoc/journal -anti-entropy 30s
 //	curl 'localhost:8080/extract?host=ae1-0.cr2.example.net'

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -16,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"hoiho/internal/core"
+	"hoiho/internal/extract"
 	"hoiho/internal/serve"
 )
 
@@ -39,8 +40,11 @@ func (w *syncWriter) String() string {
 
 func writeTestCorpus(t *testing.T, path string) {
 	t.Helper()
-	body := `[{"suffix":"routed.net","regexes":["^as(\\d+)-r\\d+\\.routed\\.net$"],"class":"good"}]`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	ncs, err := core.UnmarshalNCs([]byte(`[{"suffix":"routed.net","regexes":["^as(\\d+)-r\\d+\\.routed\\.net$"],"class":"good"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := extract.New(ncs).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +53,7 @@ func writeTestCorpus(t *testing.T, path string) {
 // front.
 func bootNode(t *testing.T) *httptest.Server {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ncs.json")
+	path := filepath.Join(t.TempDir(), "ncs.hbc")
 	writeTestCorpus(t, path)
 	srv, err := serve.New(serve.Config{CorpusPath: path})
 	if err != nil {

@@ -1,9 +1,9 @@
 // Command hoihod is the hoiho extraction daemon: it serves a saved
-// conventions corpus (the output of `hoiho -save`, JSON or the HBC
-// binary form — the format is sniffed, so -corpus and hot reloads
-// accept either) as an HTTP service with hot reload, load shedding,
-// and graceful drain. An HBC corpus loads pre-compiled, which keeps
-// reload pauses short under load.
+// conventions corpus (the HBC binary corpus `hoiho -save` writes) as an
+// HTTP service with hot reload, load shedding, and graceful drain. The
+// corpus loads pre-compiled, which keeps reload pauses short under
+// load. A JSON corpus (`hoiho -json`) is for reading: -corpus, hot
+// reloads and rollout prepares refuse it.
 //
 // Endpoints:
 //
@@ -34,10 +34,10 @@
 //
 // Example:
 //
-//	hoiho -save ncs.json training.txt
-//	hoihod -corpus ncs.json -addr :8080 &
+//	hoiho -save ncs.hbc training.txt
+//	hoihod -corpus ncs.hbc -addr :8080 &
 //	curl 'localhost:8080/extract?host=ae1-0.cr2.example.net'
-//	kill -HUP %1     # pick up a re-learned ncs.json
+//	kill -HUP %1     # pick up a re-learned ncs.hbc
 //	kill -TERM %1    # drain and exit 0
 package main
 
@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hoihod", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address")
-	corpus := fs.String("corpus", "", "saved conventions JSON to serve (required; output of hoiho -save)")
+	corpus := fs.String("corpus", "", "saved HBC corpus to serve (required; output of hoiho -save)")
 	classes := fs.String("classes", "usable", "which conventions to serve: good, usable, or all")
 	maxInflight := fs.Int("max-inflight", 64, "maximum concurrently executing extraction requests")
 	maxQueue := fs.Int("max-queue", 256, "maximum requests waiting for admission before shedding")
@@ -83,10 +83,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: hoihod -corpus <ncs.json> [flags]")
+		return fmt.Errorf("usage: hoihod -corpus <ncs.hbc> [flags]")
 	}
 	if *corpus == "" {
-		return fmt.Errorf("-corpus is required (save one with: hoiho -save ncs.json training.txt)")
+		return fmt.Errorf("-corpus is required (save one with: hoiho -save ncs.hbc training.txt)")
 	}
 
 	logger := log.New(out, "hoihod: ", log.LstdFlags)

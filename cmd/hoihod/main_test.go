@@ -15,6 +15,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hoiho/internal/core"
+	"hoiho/internal/extract"
 )
 
 // syncWriter lets the test read the daemon's log while run is writing it.
@@ -43,8 +46,11 @@ func writeTestCorpus(t *testing.T, path, capture string) {
 	} else {
 		re = `^as\\d+-r(\\d+)\\.daemon\\.net$`
 	}
-	body := fmt.Sprintf(`[{"suffix":"daemon.net","regexes":["%s"],"class":"good"}]`, re)
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+	ncs, err := core.UnmarshalNCs([]byte(fmt.Sprintf(`[{"suffix":"daemon.net","regexes":["%s"],"class":"good"}]`, re)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := extract.New(ncs).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,9 +64,18 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(ctx, []string{"-corpus", "x.json", "stray"}, &buf); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Errorf("run with stray args = %v, want usage error", err)
 	}
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	missing := filepath.Join(t.TempDir(), "missing.hbc")
 	if err := run(ctx, []string{"-corpus", missing}, &buf); err == nil {
 		t.Error("run with a missing corpus must fail at boot")
+	}
+	// A JSON corpus (the `hoiho -json` form) is for reading: boot
+	// refuses it and names the loadable form.
+	js := filepath.Join(t.TempDir(), "ncs.json")
+	if err := os.WriteFile(js, []byte(`[{"suffix":"daemon.net","regexes":["^as(\\d+)-r\\d+\\.daemon\\.net$"],"class":"good"}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(ctx, []string{"-corpus", js, "-addr", "127.0.0.1:0"}, &buf); err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+		t.Errorf("run on a JSON corpus = %v, want a boot refusal naming `hoiho -save`", err)
 	}
 }
 
@@ -69,7 +84,7 @@ func TestRunFlagValidation(t *testing.T) {
 // SIGHUP, then cancel the lifecycle context (the SIGTERM path) and
 // require a clean, drained exit.
 func TestRunServeReloadDrain(t *testing.T) {
-	corpus := filepath.Join(t.TempDir(), "ncs.json")
+	corpus := filepath.Join(t.TempDir(), "ncs.hbc")
 	writeTestCorpus(t, corpus, "first")
 
 	ctx, cancel := context.WithCancel(context.Background())

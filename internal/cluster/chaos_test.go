@@ -142,7 +142,8 @@ func TestChaosReplicaFailover(t *testing.T) {
 // TestChaosRolloutStormAtomicity: 20 rollout epochs under sustained
 // traffic. Even epochs are honest and must commit; odd epochs ship a
 // third corpus variant that is sabotaged a different way each time and
-// must abort. The third variant's fingerprint must never appear in any
+// must fail: a corrupt body is refused at planning (ErrBadCorpus),
+// every other sabotage aborts. The third variant's fingerprint must never appear in any
 // response, and after every epoch all nodes serve exactly the epoch's
 // committed (or prior) generation.
 func TestChaosRolloutStormAtomicity(t *testing.T) {
@@ -170,7 +171,7 @@ func TestChaosRolloutStormAtomicity(t *testing.T) {
 				if currentVariant == "second" {
 					next = "first"
 				}
-				res, err := rt.Rollout(ctx, []byte(corpusJSON(next)), 0)
+				res, err := rt.Rollout(ctx, corpusHBC(t, next), 0)
 				if err != nil {
 					t.Fatalf("epoch %d: honest rollout failed: %v", epoch, err)
 				}
@@ -178,9 +179,9 @@ func TestChaosRolloutStormAtomicity(t *testing.T) {
 				currentFP = res.Fingerprint
 			} else {
 				// Sabotaged epoch: try to roll out the forbidden variant
-				// with a rotating fault. It must abort.
+				// with a rotating fault. It must fail.
 				victim := nodes[epoch%3]
-				data := []byte(corpusJSON("third"))
+				data := corpusHBC(t, "third")
 				var restore func()
 				switch (epoch / 2) % 5 {
 				case 0:
@@ -210,6 +211,9 @@ func TestChaosRolloutStormAtomicity(t *testing.T) {
 				if err == nil {
 					t.Fatalf("epoch %d: sabotaged rollout committed", epoch)
 				}
+				if refused := errors.Is(err, ErrBadCorpus); refused != ((epoch/2)%5 == 0) {
+					t.Fatalf("epoch %d: sabotaged rollout = %v; only the corrupt body is refused at planning", epoch, err)
+				}
 			}
 			// Invariant: after every epoch, every node serves exactly the
 			// committed generation of that epoch.
@@ -232,8 +236,8 @@ func TestChaosRolloutStormAtomicity(t *testing.T) {
 		if n := stats.non200.Load(); n != 0 {
 			t.Errorf("%d traffic requests failed during the rollout storm", n)
 		}
-		if rt.stats.rollouts.Load() != 10 || rt.stats.aborted.Load() != 10 {
-			t.Errorf("epochs accounted: %d committed %d aborted, want 10/10",
+		if rt.stats.rollouts.Load() != 10 || rt.stats.aborted.Load() != 8 {
+			t.Errorf("epochs accounted: %d committed %d aborted, want 10/8 (2 refused at planning)",
 				rt.stats.rollouts.Load(), rt.stats.aborted.Load())
 		}
 	})
@@ -271,7 +275,7 @@ func TestChaosCommitFailureRollsForward(t *testing.T) {
 				{Stage: faultinject.StageClusterRollout, Key: "commit:" + tc.victim.url(),
 					Kind: faultinject.KindError, Prob: 1, Times: tc.times},
 			}})
-			_, err := rt.Rollout(ctx, []byte(corpusJSON(tc.variant)), 0)
+			_, err := rt.Rollout(ctx, corpusHBC(t, tc.variant), 0)
 			restore()
 			if tc.times == 1 && err != nil {
 				t.Fatalf("epoch %d: in-epoch repair failed: %v", epoch, err)

@@ -7,6 +7,7 @@ package cluster
 // and X-Hoiho-Corpus stamp identify exactly which corpus produced it.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"hoiho/internal/core"
 	"hoiho/internal/extract"
 	"hoiho/internal/serve"
 )
@@ -48,11 +50,26 @@ func corpusJSON(variant string) string {
 	return sb.String()
 }
 
+// corpusHBC encodes the variant's corpus to the HBC form every corpus
+// reader loads.
+func corpusHBC(t testing.TB, variant string) []byte {
+	t.Helper()
+	ncs, err := core.UnmarshalNCs([]byte(corpusJSON(variant)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := extract.New(ncs).SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // fingerprintOf returns the X-Hoiho-Corpus value a node serving the
 // variant will stamp.
 func fingerprintOf(t testing.TB, variant string) string {
 	t.Helper()
-	c, err := extract.Load(strings.NewReader(corpusJSON(variant)))
+	c, err := extract.Load(bytes.NewReader(corpusHBC(t, variant)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +123,8 @@ func newTestNodes(t testing.TB, n int) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, n)
 	for i := 0; i < n; i++ {
-		path := filepath.Join(t.TempDir(), "ncs.json")
-		if err := os.WriteFile(path, []byte(corpusJSON("first")), 0o644); err != nil {
+		path := filepath.Join(t.TempDir(), "ncs.hbc")
+		if err := os.WriteFile(path, corpusHBC(t, "first"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		srv, err := serve.New(serve.Config{CorpusPath: path})

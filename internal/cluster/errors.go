@@ -20,6 +20,11 @@ var (
 	// ErrRolloutInProgress means a rollout or membership change is
 	// already running; the protocol is strictly one epoch at a time.
 	ErrRolloutInProgress = errors.New("cluster: a rollout or membership change is already in progress")
+	// ErrBadCorpus means a rollout body does not plan: it is empty,
+	// JSON or otherwise not HBC, corrupt, or an HBD patch with no
+	// committed corpus to apply it to. The operator's request is at
+	// fault (422); nothing was journaled and no node saw a prepare.
+	ErrBadCorpus = errors.New("cluster: rollout corpus refused")
 	// ErrMemberExists means a join named a node already in the ring.
 	ErrMemberExists = errors.New("cluster: node is already a member")
 	// ErrMemberUnknown means a leave named a node not in the ring.

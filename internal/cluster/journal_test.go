@@ -95,7 +95,7 @@ func TestRolloutDeltaEpoch(t *testing.T) {
 	fpFirst := fingerprintOf(t, "first")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatalf("epoch 1: %v", err)
 	}
 	st, err := rt.journal.load()
@@ -115,7 +115,7 @@ func TestRolloutDeltaEpoch(t *testing.T) {
 		t.Fatal("journal does not hold the committed corpus as canonical HBC")
 	}
 
-	res, err := rt.Rollout(ctx, []byte(corpusJSON("first")), 0)
+	res, err := rt.Rollout(ctx, corpusHBC(t, "first"), 0)
 	if err != nil {
 		t.Fatalf("epoch 2: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestRolloutAcceptsHBDPatch(t *testing.T) {
 	fpThird := fingerprintOf(t, "third")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Diff from the journaled base to the next target, as hoiho -diff
@@ -177,7 +177,7 @@ func TestRolloutAcceptsHBDPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := extract.Load(strings.NewReader(corpusJSON("third")))
+	target, err := extract.Load(bytes.NewReader(corpusHBC(t, "third")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +204,13 @@ func TestRolloutAcceptsHBDPatch(t *testing.T) {
 func TestRolloutHBDRequiresJournal(t *testing.T) {
 	nodes := newTestNodes(t, 2)
 	rt := newTestRouter(t, nodes, nil)
-	baseC, _ := extract.Load(strings.NewReader(corpusJSON("first")))
-	targetC, _ := extract.Load(strings.NewReader(corpusJSON("second")))
+	baseC, _ := extract.Load(bytes.NewReader(corpusHBC(t, "first")))
+	targetC, _ := extract.Load(bytes.NewReader(corpusHBC(t, "second")))
 	var patch bytes.Buffer
 	if err := extract.Diff(baseC, targetC, &patch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Rollout(context.Background(), patch.Bytes(), 0); err == nil || !strings.Contains(err.Error(), "journal") {
+	if _, err := rt.Rollout(context.Background(), patch.Bytes(), 0); !errors.Is(err, ErrBadCorpus) || !strings.Contains(err.Error(), "-journal") {
 		t.Fatalf("journal-less HBD rollout = %v, want a journal-path error", err)
 	}
 	for i, n := range nodes {
@@ -230,7 +230,7 @@ func TestRolloutDeltaNackFallsBackToFull(t *testing.T) {
 	fpThird := fingerprintOf(t, "third")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Stall node 1's prepare long enough to reload it onto a foreign
@@ -242,11 +242,11 @@ func TestRolloutDeltaNackFallsBackToFull(t *testing.T) {
 	defer restore()
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.Rollout(ctx, []byte(corpusJSON("third")), 0)
+		_, err := rt.Rollout(ctx, corpusHBC(t, "third"), 0)
 		done <- err
 	}()
 	time.Sleep(150 * time.Millisecond)
-	reloadNode(t, nodes[1], []byte(corpusJSON("first")))
+	reloadNode(t, nodes[1], corpusHBC(t, "first"))
 	if err := <-done; err != nil {
 		t.Fatalf("rollout with a mid-epoch divergence: %v", err)
 	}
@@ -269,12 +269,12 @@ func TestRolloutSabotagedDeltaNeverCommits(t *testing.T) {
 	fpSecond := fingerprintOf(t, "second")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	committed, _ := rt.journal.readCommitted()
 	base, _ := extract.Load(bytes.NewReader(committed))
-	target, _ := extract.Load(strings.NewReader(corpusJSON("third")))
+	target, _ := extract.Load(bytes.NewReader(corpusHBC(t, "third")))
 	var patch bytes.Buffer
 	if err := extract.Diff(base, target, &patch); err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestRolloutSabotagedDeltaNeverCommits(t *testing.T) {
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x20
-	wrongBase, _ := extract.Load(strings.NewReader(corpusJSON("first")))
+	wrongBase, _ := extract.Load(bytes.NewReader(corpusHBC(t, "first")))
 	var foreign bytes.Buffer
 	if err := extract.Diff(wrongBase, target, &foreign); err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestResumeAbortsCrashBeforeValidate(t *testing.T) {
 		{Stage: faultinject.StageClusterJournal, Key: phaseValidate,
 			Kind: faultinject.KindPanic, Prob: 1},
 	}})
-	mustCrash(t, func() { rtA.Rollout(ctx, []byte(corpusJSON("second")), 0) })
+	mustCrash(t, func() { rtA.Rollout(ctx, corpusHBC(t, "second"), 0) })
 	restore()
 
 	// The crash left prepared corpora staged on every node.
@@ -355,7 +355,7 @@ func TestResumeAbortsCrashBeforeValidate(t *testing.T) {
 		}
 	}
 	// The successor coordinator is fully operational, on a fresh epoch.
-	res, err := rtB.Rollout(ctx, []byte(corpusJSON("second")), 0)
+	res, err := rtB.Rollout(ctx, corpusHBC(t, "second"), 0)
 	if err != nil || res.Fingerprint != fpSecond {
 		t.Fatalf("post-resume rollout = %v, %v", res, err)
 	}
@@ -375,7 +375,7 @@ func TestResumeRollsForwardCrashMidCommit(t *testing.T) {
 	fpFirst := fingerprintOf(t, "first")
 	ctx := context.Background()
 
-	if _, err := rtA.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rtA.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Die on the committed record: the commit fanout has run (all nodes
@@ -385,7 +385,7 @@ func TestResumeRollsForwardCrashMidCommit(t *testing.T) {
 		{Stage: faultinject.StageClusterJournal, Key: phaseCommitted,
 			Kind: faultinject.KindPanic, Prob: 1},
 	}})
-	mustCrash(t, func() { rtA.Rollout(ctx, []byte(corpusJSON("first")), 0) })
+	mustCrash(t, func() { rtA.Rollout(ctx, corpusHBC(t, "first"), 0) })
 	restore()
 	st, _ := rtA.journal.load()
 	if st == nil || st.Phase != phaseCommit || st.Epoch != 2 {
@@ -428,7 +428,7 @@ func TestRolloutCommitFailureJournaled(t *testing.T) {
 		{Stage: faultinject.StageClusterRollout, Key: "commit:" + nodes[1].url(),
 			Kind: faultinject.KindError, Prob: 1, Times: 1},
 	}})
-	_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+	_, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0)
 	restore()
 	if err != nil {
 		t.Fatalf("rollout with a repaired commit failure = %v, want success", err)
@@ -464,7 +464,7 @@ func TestRolloutCommitSurvivesCallerCancel(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+		_, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -502,7 +502,7 @@ func TestRolloutCommitNotConverged(t *testing.T) {
 		{Stage: faultinject.StageClusterRollout, Key: "commit:" + nodes[2].url(),
 			Kind: faultinject.KindError, Prob: 1},
 	}})
-	_, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0)
+	_, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0)
 	restore()
 	var re *RolloutError
 	if !errors.Is(err, ErrNotConverged) || !errors.As(err, &re) || re.Phase != "commit" || re.Node != nodes[2].url() {
@@ -557,11 +557,11 @@ func TestAntiEntropyHealsDivergence(t *testing.T) {
 	fpThird := fingerprintOf(t, "third")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Stale disk image: node 2 reloads a corpus from before the epoch.
-	reloadNode(t, nodes[2], []byte(corpusJSON("first")))
+	reloadNode(t, nodes[2], corpusHBC(t, "first"))
 	rt.antiEntropySweep(ctx)
 	if fp, _ := nodeFP(t, nodes[2]); fp != fpSecond {
 		t.Fatalf("sweep did not repair the stale node: serves %s", fp)
@@ -572,7 +572,7 @@ func TestAntiEntropyHealsDivergence(t *testing.T) {
 
 	// One epoch behind: after the next rollout, prev.corpus is the
 	// epoch-1 target; a node reloaded onto it is repaired by delta.
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("third")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "third"), 0); err != nil {
 		t.Fatal(err)
 	}
 	prev, _ := rt.journal.readPrev()
@@ -590,7 +590,7 @@ func TestAntiEntropyHealsDivergence(t *testing.T) {
 	if err := rt.Leave(nodes[0].url()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Join(ctx, nodes[0].url()); err != nil {
@@ -631,10 +631,10 @@ func TestAntiEntropyRepairFaultFailsClosed(t *testing.T) {
 	fpSecond := fingerprintOf(t, "second")
 	ctx := context.Background()
 
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
-	reloadNode(t, nodes[1], []byte(corpusJSON("first")))
+	reloadNode(t, nodes[1], corpusHBC(t, "first"))
 
 	restore := faultinject.Activate(&faultinject.Plan{Rules: []faultinject.Rule{
 		{Stage: faultinject.StageClusterAntiEntropy, Key: nodes[1].url(),
@@ -664,10 +664,10 @@ func TestAntiEntropyLoopRuns(t *testing.T) {
 	})
 	fpSecond := fingerprintOf(t, "second")
 	ctx := context.Background()
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
-	reloadNode(t, nodes[0], []byte(corpusJSON("first")))
+	reloadNode(t, nodes[0], corpusHBC(t, "first"))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if fp, _ := nodeFP(t, nodes[0]); fp == fpSecond {
@@ -708,7 +708,7 @@ func TestChaosJournalCrashResumeUnderStorm(t *testing.T) {
 		stop := make(chan struct{})
 		stats, wg := stormTraffic(t, rtA, 4, stop, allowed, "")
 
-		if _, err := rtA.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+		if _, err := rtA.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 			t.Fatalf("epoch 1: %v", err)
 		}
 		// Crash 1: die on the committed record — every node has
@@ -717,7 +717,7 @@ func TestChaosJournalCrashResumeUnderStorm(t *testing.T) {
 			{Stage: faultinject.StageClusterJournal, Key: phaseCommitted,
 				Kind: faultinject.KindPanic, Prob: 1},
 		}})
-		mustCrash(t, func() { rtA.Rollout(ctx, []byte(corpusJSON("first")), 0) })
+		mustCrash(t, func() { rtA.Rollout(ctx, corpusHBC(t, "first"), 0) })
 		restore()
 
 		rtB, _ := newJournaledRouter(t, nodes, dir, nil)
@@ -736,7 +736,7 @@ func TestChaosJournalCrashResumeUnderStorm(t *testing.T) {
 			{Stage: faultinject.StageClusterJournal, Key: phaseValidate,
 				Kind: faultinject.KindPanic, Prob: 1},
 		}})
-		mustCrash(t, func() { rtB.Rollout(ctx, []byte(corpusJSON("second")), 0) })
+		mustCrash(t, func() { rtB.Rollout(ctx, corpusHBC(t, "second"), 0) })
 		restore()
 
 		rtC, _ := newJournaledRouter(t, nodes, dir, nil)
@@ -750,7 +750,7 @@ func TestChaosJournalCrashResumeUnderStorm(t *testing.T) {
 			}
 		}
 		// The surviving coordinator finishes the job.
-		if _, err := rtC.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+		if _, err := rtC.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 			t.Fatalf("final rollout: %v", err)
 		}
 		for i, n := range nodes {

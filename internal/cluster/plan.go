@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"hoiho/internal/corpusbin"
-	"hoiho/internal/extract"
 )
 
 // committedBase is the coordinator's in-memory copy of the journal's
@@ -79,21 +78,8 @@ func canonicalRecords(recs []corpusbin.NCRecord) []corpusbin.NCRecord {
 	return out
 }
 
-// corpusRecords decodes a full corpus, HBC or JSON, into canonical
-// records. HBC decodes directly; JSON pays extract.Load and SaveBinary
-// to gain the compiled programs HBC carries, then decodes that.
+// corpusRecords decodes a full HBC corpus into canonical records.
 func corpusRecords(data []byte) ([]corpusbin.NCRecord, error) {
-	if !corpusbin.IsHBC(data) {
-		c, err := extract.Load(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := c.SaveBinary(&buf); err != nil {
-			return nil, err
-		}
-		data = buf.Bytes()
-	}
 	dec, err := corpusbin.Decode(data)
 	if err != nil {
 		return nil, err
@@ -135,19 +121,20 @@ func (rt *Router) committedBaseFor(data []byte) (*committedBase, error) {
 	return b, err
 }
 
-// planTarget normalizes a posted corpus against base (nil when the
-// journal holds no committed corpus). An HBD patch is applied to the
-// base's records and shipped as posted; a full corpus is decoded and
-// diffed against the base in one encoder pass, the patch kept only when
-// the target's fingerprint differs from the base's. Every target is
-// fully decoded and validated here, before anything is journaled or
-// shipped.
+// planTarget normalizes a posted corpus against base (nil without a
+// journal, or when the journal holds no committed corpus). An HBD patch
+// is applied to the base's records and shipped as posted; a full HBC
+// corpus is decoded and diffed against the base in one encoder pass,
+// the patch kept only when the target's fingerprint differs from the
+// base's. Every target is fully decoded and validated here, before
+// anything is journaled or shipped; anything else (JSON, an empty or
+// corrupt body) is refused.
 func planTarget(base *committedBase, data []byte) (*targetPlan, error) {
 	p := &targetPlan{}
 	start := time.Now()
 	if corpusbin.IsHBD(data) {
 		if base == nil {
-			return nil, fmt.Errorf("cluster: rollout: HBD delta posted but the journal holds no committed corpus to patch")
+			return nil, fmt.Errorf("cluster: rollout: HBD delta posted but there is no committed corpus to patch; start the coordinator with -journal and roll out a full corpus first")
 		}
 		baseRecs, err := base.records()
 		if err != nil {
@@ -174,7 +161,7 @@ func planTarget(base *committedBase, data []byte) (*targetPlan, error) {
 
 	recs, err := corpusRecords(data)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: rollout: target corpus does not load: %w", err)
+		return nil, fmt.Errorf("cluster: rollout: target is not a loadable corpus (an HBC corpus from `hoiho -save x.hbc`, or with -journal an HBD patch from `hoiho -diff`): %w", err)
 	}
 	p.decode = time.Since(start)
 	start = time.Now()

@@ -146,19 +146,37 @@ func TestPlanTargetMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name            string
 		committed, data []byte
+		// refused: the target is not loadable, so the oracle's Load
+		// and the planner must both refuse it.
+		refused bool
 	}{
-		{"canonical HBC", committed, hbcOf(t, targetNCs)},
-		{"unsorted HBC", committed, rawHBC(t, reversed)},
-		{"duplicate suffixes", committed, rawHBC(t, dups)},
-		{"empty alternation", committed, encodeRecords(t, emptyAlt)},
-		{"JSON", committed, jsonBuf.Bytes()},
-		{"posted HBD", committed, patch.Bytes()},
-		{"first epoch", nil, hbcOf(t, targetNCs)},
-		{"unchanged target", committed, hbcOf(t, baseNCs)},
-		{"unsorted committed", rawHBC(t, reversedBase), hbcOf(t, targetNCs)},
+		{"canonical HBC", committed, hbcOf(t, targetNCs), false},
+		{"unsorted HBC", committed, rawHBC(t, reversed), false},
+		{"duplicate suffixes", committed, rawHBC(t, dups), false},
+		{"empty alternation", committed, encodeRecords(t, emptyAlt), false},
+		{"JSON", committed, jsonBuf.Bytes(), true},
+		{"posted HBD", committed, patch.Bytes(), false},
+		{"first epoch", nil, hbcOf(t, targetNCs), false},
+		{"unchanged target", committed, hbcOf(t, baseNCs), false},
+		{"unsorted committed", rawHBC(t, reversedBase), hbcOf(t, targetNCs), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.refused {
+				if _, err := extract.Load(bytes.NewReader(tc.data)); err == nil {
+					t.Fatal("oracle: the target loads")
+				}
+				decoded, err := loadBase(tc.committed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, base := range map[string]*committedBase{"no base": nil, "decoded base": decoded} {
+					if _, err := planTarget(base, tc.data); err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+						t.Errorf("%s: planned, or refused without naming `hoiho -save`: %v", how, err)
+					}
+				}
+				return
+			}
 			full, delta, fp := oraclePlan(t, tc.committed, tc.data)
 			check := func(how string, base *committedBase) {
 				t.Helper()
@@ -226,19 +244,19 @@ func TestPlanCacheFollowsCommittedFile(t *testing.T) {
 	nodes := newTestNodes(t, 2)
 	rt, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
 	ctx := context.Background()
-	if _, err := rt.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if rt.base == nil {
 		t.Fatal("commit left no cached base")
 	}
-	third, _ := extract.Load(strings.NewReader(corpusJSON("third")))
-	if err := third.SaveFileBinary(rt.journal.committedPath()); err != nil {
+	third, _ := extract.Load(bytes.NewReader(corpusHBC(t, "third")))
+	if err := third.SaveFile(rt.journal.committedPath()); err != nil {
 		t.Fatal(err)
 	}
 
 	rt.adminMu.Lock()
-	plan, err := rt.planEpoch(ctx, rt.view.Load().members, []byte(corpusJSON("first")))
+	plan, err := rt.planEpoch(ctx, rt.view.Load().members, corpusHBC(t, "first"))
 	rt.adminMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -264,14 +282,14 @@ func TestPlanRestartedRouterSameBytes(t *testing.T) {
 	dir := t.TempDir()
 	rtA, _ := newJournaledRouter(t, nodes, dir, nil)
 	ctx := context.Background()
-	if _, err := rtA.Rollout(ctx, []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rtA.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	plan := func(rt *Router) *epochPlan {
 		t.Helper()
 		rt.adminMu.Lock()
 		defer rt.adminMu.Unlock()
-		p, err := rt.planEpoch(ctx, rt.view.Load().members, []byte(corpusJSON("third")))
+		p, err := rt.planEpoch(ctx, rt.view.Load().members, corpusHBC(t, "third"))
 		if err != nil {
 			t.Fatal(err)
 		}

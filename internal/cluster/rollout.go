@@ -45,7 +45,6 @@ import (
 	"sync"
 	"time"
 
-	"hoiho/internal/corpusbin"
 	"hoiho/internal/extract"
 	"hoiho/internal/faultinject"
 )
@@ -76,13 +75,15 @@ type phaseAck struct {
 }
 
 // Rollout drives one two-phase corpus swap across the whole cluster.
-// data is the corpus to ship (HBC or JSON — nodes sniff). holdValidate,
-// when positive, pauses between prepare and validate; it exists so
-// chaos tests and the CI smoke script can widen the window in which to
-// kill a node mid-epoch. A failure before commit aborts the epoch; a
-// failure in commit is repaired forward, and only nodes that still miss
-// the target fail the call (ErrNotConverged). The returned RolloutError
-// names the phase and node that broke it.
+// data is an HBC corpus or, with a journal, an HBD patch against the
+// committed corpus; either is decoded and re-encoded canonically before
+// any node sees it, and anything else fails with ErrBadCorpus.
+// holdValidate, when positive, pauses between prepare and validate; it
+// exists so chaos tests and the CI smoke script can widen the window in
+// which to kill a node mid-epoch. A failure before commit aborts the
+// epoch; a failure in commit is repaired forward, and only nodes that
+// still miss the target fail the call (ErrNotConverged). The returned
+// RolloutError names the phase and node that broke it.
 func (rt *Router) Rollout(ctx context.Context, data []byte, holdValidate time.Duration) (*RolloutResult, error) {
 	if !rt.adminMu.TryLock() {
 		return nil, ErrRolloutInProgress
@@ -238,8 +239,8 @@ type epochPlan struct {
 	useDelta map[string]bool
 	nodes    []journalNode
 	// next is the target as the committed base the following epoch
-	// diffs against, installed once this epoch commits; nil without a
-	// journal.
+	// diffs against, installed once this epoch commits when a journal
+	// is configured.
 	next  *committedBase
 	steps planSteps
 }
@@ -271,50 +272,49 @@ func (p *epochPlan) deltaFor(name string) []byte {
 }
 
 // planEpoch allocates the epoch number and decides per-node payloads.
-// Without a journal the plan is the legacy one — ship the operator's
-// bytes to everyone (an HBD patch is refused: there is no durable base
-// to resolve it against). With a journal the target is reduced to
-// canonical records and encoded once (planTarget) against the committed
-// base — the in-memory cache when its bytes still equal
-// committed.corpus, the file decoded otherwise — into canonical HBC
-// bytes, persisted as the epoch corpus, and the HBD patch; members
-// whose reported live fingerprint equals the base's get the patch.
+// The target is reduced to canonical records and encoded once
+// (planTarget) into the canonical HBC bytes every node is shipped, so a
+// body that does not decode is refused (ErrBadCorpus) before any node
+// sees a prepare. With a journal the encoder pass also diffs against
+// the committed base — the in-memory cache when its bytes still equal
+// committed.corpus, the file decoded otherwise — the full bytes are
+// persisted as the epoch corpus, and members whose reported live
+// fingerprint equals the base's get the HBD patch. Without a journal
+// there is no base: every member gets the full corpus, and an HBD
+// patch is refused.
 func (rt *Router) planEpoch(ctx context.Context, members []*member, data []byte) (*epochPlan, error) {
 	plan := &epochPlan{
 		epoch:    rt.epoch.Add(1),
-		full:     data,
 		useDelta: make(map[string]bool),
 		nodes:    make([]journalNode, len(members)),
 	}
 	for i, m := range members {
 		plan.nodes[i] = journalNode{Node: m.name}
 	}
-	if rt.journal == nil {
-		if corpusbin.IsHBD(data) {
-			return nil, fmt.Errorf("cluster: rollout: an HBD delta needs the journaled committed corpus as its base; start the coordinator with a journal path")
+	var base *committedBase
+	if rt.journal != nil {
+		start := time.Now()
+		committed, err := rt.journal.readCommitted()
+		if err != nil {
+			return nil, err
 		}
-		return plan, nil
+		if base, err = rt.committedBaseFor(committed); err != nil {
+			// A damaged committed corpus must not block rollouts; it
+			// only costs this epoch its deltas.
+			rt.logf("rollout: committed corpus unreadable, full sends this epoch: %v", err)
+		}
+		plan.steps.base = time.Since(start)
 	}
-
-	start := time.Now()
-	committed, err := rt.journal.readCommitted()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rt.committedBaseFor(committed)
-	if err != nil {
-		// A damaged committed corpus must not block rollouts; it
-		// only costs this epoch its deltas.
-		rt.logf("rollout: committed corpus unreadable, full sends this epoch: %v", err)
-	}
-	plan.steps.base = time.Since(start)
 	tp, err := planTarget(base, data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadCorpus, err)
 	}
 	plan.full, plan.delta, plan.next = tp.full, tp.delta, tp.next
 	plan.targetFP = extract.FormatFingerprint(tp.fp)
 	plan.steps.decode, plan.steps.encode = tp.decode, tp.encode
+	if rt.journal == nil {
+		return plan, nil
+	}
 
 	if plan.delta != nil {
 		baseFP := extract.FormatFingerprint(base.Fingerprint)
@@ -328,7 +328,7 @@ func (rt *Router) planEpoch(ctx context.Context, members []*member, data []byte)
 		rt.logf("rollout: epoch %d: delta %d bytes vs full %d bytes, %d/%d members eligible",
 			plan.epoch, len(plan.delta), len(plan.full), len(plan.useDelta), len(members))
 	}
-	start = time.Now()
+	start := time.Now()
 	if err := rt.journal.writeEpochCorpus(plan.full); err != nil {
 		return nil, err
 	}
@@ -568,8 +568,11 @@ func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 	res, err := rt.Rollout(r.Context(), data, hold)
 	if err != nil {
 		code := http.StatusBadGateway
-		if err == ErrRolloutInProgress {
+		switch {
+		case errors.Is(err, ErrRolloutInProgress):
 			code = http.StatusConflict
+		case errors.Is(err, ErrBadCorpus):
+			code = http.StatusUnprocessableEntity
 		}
 		http.Error(w, err.Error(), code)
 		return

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,7 +29,7 @@ func TestRolloutCommit(t *testing.T) {
 	rt := newTestRouter(t, nodes, nil)
 	fpSecond := fingerprintOf(t, "second")
 
-	res, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0)
+	res, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 0)
 	if err != nil {
 		t.Fatalf("rollout: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestRolloutPersists(t *testing.T) {
 	nodes := newTestNodes(t, 2)
 	rt := newTestRouter(t, nodes, nil)
 	fpSecond := fingerprintOf(t, "second")
-	if _, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0); err != nil {
+	if _, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nodes[0].srv.Reload(context.Background()); err != nil {
@@ -83,9 +84,10 @@ func TestRolloutPersists(t *testing.T) {
 	}
 }
 
-// TestRolloutCorruptAborts: a corpus that fails validation on the nodes
-// nacks prepare, the epoch aborts, and every node keeps serving the old
-// generation with no prepared residue.
+// TestRolloutCorruptAborts: a corpus that does not decode aborts the
+// rollout before it starts. Planning refuses it with ErrBadCorpus, no
+// node sees a prepare, and every node keeps serving the old generation
+// with no prepared residue.
 func TestRolloutCorruptAborts(t *testing.T) {
 	nodes := newTestNodes(t, 3)
 	rt := newTestRouter(t, nodes, nil)
@@ -93,20 +95,20 @@ func TestRolloutCorruptAborts(t *testing.T) {
 
 	_, err := rt.Rollout(context.Background(), []byte("{definitely not a corpus"), 0)
 	var re *RolloutError
-	if !errors.As(err, &re) || re.Phase != "prepare" {
-		t.Fatalf("corrupt rollout = %v, want a prepare-phase RolloutError", err)
+	if !errors.Is(err, ErrBadCorpus) || errors.As(err, &re) {
+		t.Fatalf("corrupt rollout = %v, want ErrBadCorpus before any phase", err)
 	}
 	for i, n := range nodes {
 		fp, prepared := nodeFP(t, n)
 		if fp != fpFirst {
-			t.Errorf("node %d serving %s after abort, want %s", i, fp, fpFirst)
+			t.Errorf("node %d serving %s after a refused rollout, want %s", i, fp, fpFirst)
 		}
-		if prepared != "" {
-			t.Errorf("node %d retains a prepared corpus after abort", i)
+		if prepared != "" || n.srv.StatusNow().Prepares != 0 {
+			t.Errorf("node %d saw a prepare of a refused corpus", i)
 		}
 	}
-	if rt.stats.aborted.Load() != 1 {
-		t.Error("aborted epoch not accounted")
+	if n := rt.stats.aborted.Load(); n != 0 {
+		t.Errorf("%d epochs aborted, want none started", n)
 	}
 }
 
@@ -120,7 +122,7 @@ func TestRolloutValidateCatchesGenerationMove(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 300*time.Millisecond)
+		_, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 300*time.Millisecond)
 		done <- err
 	}()
 	// While the coordinator holds between prepare and validate, reload
@@ -153,7 +155,7 @@ func TestRolloutCoordinatorFaultAborts(t *testing.T) {
 			Kind: faultinject.KindError, Prob: 1},
 	}})()
 
-	_, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0)
+	_, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 0)
 	var re *RolloutError
 	if !errors.As(err, &re) || re.Phase != "validate" || re.Node != nodes[1].url() {
 		t.Fatalf("rollout = %v, want validate failure at node 1", err)
@@ -180,7 +182,7 @@ func TestRolloutCommitFailureRollsForward(t *testing.T) {
 			Kind: faultinject.KindError, Prob: 1, Times: 1},
 	}})()
 
-	res, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0)
+	res, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 0)
 	if err != nil {
 		t.Fatalf("rollout with a repaired commit failure = %v, want success", err)
 	}
@@ -218,11 +220,11 @@ func TestRolloutSerialized(t *testing.T) {
 	rt := newTestRouter(t, nodes, nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 400*time.Millisecond)
+		_, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 400*time.Millisecond)
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
-	if _, err := rt.Rollout(context.Background(), []byte(corpusJSON("second")), 0); !errors.Is(err, ErrRolloutInProgress) {
+	if _, err := rt.Rollout(context.Background(), corpusHBC(t, "second"), 0); !errors.Is(err, ErrRolloutInProgress) {
 		t.Errorf("concurrent rollout = %v, want ErrRolloutInProgress", err)
 	}
 	if err := <-done; err != nil {
@@ -230,15 +232,92 @@ func TestRolloutSerialized(t *testing.T) {
 	}
 }
 
+// TestRolloutEndpointRefusesUnplannable: a rollout body the coordinator
+// cannot plan is the client's fault. Empty, JSON and bit-flipped HBC
+// bodies get a 422 from a journal-less router and a journaled one, and
+// so does an HBD patch posted to a journal-less router; no node records
+// a prepare and the serving generation never moves.
+func TestRolloutEndpointRefusesUnplannable(t *testing.T) {
+	nodes := newTestNodes(t, 2)
+	plain := newTestRouter(t, nodes, nil)
+	journaled, _ := newJournaledRouter(t, nodes, t.TempDir(), nil)
+	// Seed the journal's committed base, so the journaled router plans
+	// against a decoded base.
+	if _, err := journaled.Rollout(context.Background(), corpusHBC(t, "first"), 0); err != nil {
+		t.Fatal(err)
+	}
+	flipped := corpusHBC(t, "second")
+	flipped[len(flipped)-2] ^= 0x10
+	from, _ := extract.Load(bytes.NewReader(corpusHBC(t, "first")))
+	to, _ := extract.Load(bytes.NewReader(corpusHBC(t, "second")))
+	var patch bytes.Buffer
+	if err := extract.Diff(from, to, &patch); err != nil {
+		t.Fatal(err)
+	}
+	js := []byte(corpusJSON("second"))
+
+	type statusz struct {
+		Generation  uint64          `json:"generation"`
+		Prepares    uint64          `json:"prepares"`
+		LastRollout json.RawMessage `json:"last_rollout"`
+	}
+	status := func(n *testNode) statusz {
+		t.Helper()
+		resp, err := n.ts.Client().Get(n.url() + "/statusz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st statusz
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	cases := []struct {
+		name string
+		rt   *Router
+		body []byte
+	}{
+		{"empty, no journal", plain, nil},
+		{"JSON, no journal", plain, js},
+		{"bit-flipped HBC, no journal", plain, flipped},
+		{"HBD, no journal", plain, patch.Bytes()},
+		{"empty, journal", journaled, nil},
+		{"JSON, journal", journaled, js},
+		{"bit-flipped HBC, journal", journaled, flipped},
+	}
+	for _, tc := range cases {
+		before := make([]statusz, len(nodes))
+		for i, n := range nodes {
+			before[i] = status(n)
+		}
+		w := httptest.NewRecorder()
+		tc.rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/-/rollout", bytes.NewReader(tc.body)))
+		if w.Code != 422 {
+			t.Errorf("%s: POST /-/rollout = %d %q, want 422", tc.name, w.Code, w.Body.String())
+		}
+		if bytes.Equal(tc.body, js) && !strings.Contains(w.Body.String(), "hoiho -save") {
+			t.Errorf("%s: refusal %q does not name `hoiho -save`", tc.name, w.Body.String())
+		}
+		for i, n := range nodes {
+			if st := status(n); st.Prepares != before[i].Prepares || st.Generation != before[i].Generation ||
+				string(st.LastRollout) != string(before[i].LastRollout) {
+				t.Errorf("%s: node %d statusz moved: %+v -> %+v", tc.name, i, before[i], st)
+			}
+		}
+	}
+}
+
 // TestRolloutEndpoint: the operator surface — POST the corpus, get the
-// committed result; corrupt input reports the aborting phase.
+// committed result; corrupt input is the client's fault (422).
 func TestRolloutEndpoint(t *testing.T) {
 	nodes := newTestNodes(t, 2)
 	rt := newTestRouter(t, nodes, nil)
 	fpSecond := fingerprintOf(t, "second")
 
 	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/-/rollout", strings.NewReader(corpusJSON("second"))))
+	rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/-/rollout", bytes.NewReader(corpusHBC(t, "second"))))
 	if w.Code != 200 {
 		t.Fatalf("POST /-/rollout = %d: %s", w.Code, w.Body.String())
 	}
@@ -252,11 +331,11 @@ func TestRolloutEndpoint(t *testing.T) {
 
 	w2 := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(w2, httptest.NewRequest("POST", "/-/rollout", strings.NewReader("{broken")))
-	if w2.Code != 502 {
-		t.Errorf("corrupt rollout = %d, want 502", w2.Code)
+	if w2.Code != 422 {
+		t.Errorf("corrupt rollout = %d, want 422", w2.Code)
 	}
-	if !strings.Contains(w2.Body.String(), "prepare") {
-		t.Errorf("error body %q does not name the failing phase", w2.Body.String())
+	if !strings.Contains(w2.Body.String(), "hoiho -save") {
+		t.Errorf("error body %q does not name the loadable form", w2.Body.String())
 	}
 
 	w3 := httptest.NewRecorder()

@@ -1,13 +1,14 @@
 // Package corpusbin implements HBC, Hoiho's versioned binary corpus
-// format. A corpus of learned naming conventions is served far more
-// often than it is written: every hoihod boot and hot reload must
-// re-index, re-parse, and — most expensively — recompile every regex
-// from the JSON interchange form. HBC persists what that work produces:
-// an interned string table, varint-packed NC records, and the
-// internal/match compiled programs in wire form, so decoding reaches
-// ready-to-serve state without JSON parsing or matcher recompilation.
+// format and the one format every corpus reader loads. A corpus of
+// learned naming conventions is served far more often than it is
+// written, and every hoihod boot and hot reload would otherwise
+// re-index, re-parse, and — most expensively — recompile every regex.
+// HBC persists what that work produces: an interned string table,
+// varint-packed NC records, and the internal/match compiled programs in
+// wire form, so decoding reaches ready-to-serve state without regex
+// parsing or matcher recompilation.
 //
-// JSON remains the interchange format and the correctness oracle:
+// JSON remains the form people read and the correctness oracle:
 // encoding a corpus to HBC and decoding it back yields NCs whose JSON
 // serialization is byte-identical to the original (regex sources render
 // deterministically from their token form, which is what the programs
@@ -57,7 +58,7 @@ import (
 
 // Magic prefixes every HBC file: "HBC" plus a format version byte.
 // Format sniffers (extract.Load) match on the three-byte prefix so an
-// unsupported future version reports a version error, not "not JSON".
+// unsupported future version reports a version error, not "not HBC".
 var Magic = [4]byte{'H', 'B', 'C', 0x01}
 
 // headerLen is magic + fingerprint + checksum.

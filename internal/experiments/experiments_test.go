@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"hoiho/internal/asn"
@@ -163,6 +164,8 @@ func TestPDBQuality(t *testing.T) {
 	if len(pdbRun.NCs) == 0 {
 		t.Fatal("no PDB NCs learned")
 	}
+	checkGolden(t, e.Name, itdkRun.NCs)
+	checkGolden(t, "pdb@"+e.Name, pdbRun.NCs)
 	pdbPPV, _, m := PPVOnTraining(extract.New(pdbRun.NCs, extract.UsableOnly()), pdbRun.Items, list, itdkRun.World.Orgs, false)
 	itdkPPV, _, _ := PPVOnTraining(extract.New(itdkRun.NCs, extract.UsableOnly()), itdkRun.Items, list, itdkRun.World.Orgs, false)
 	t.Logf("pdb=%.3f (m=%d) itdk=%.3f", pdbPPV, m, itdkPPV)
@@ -288,7 +291,59 @@ func TestSuffixOrigin(t *testing.T) {
 	}
 }
 
-// TestRunDeterminism: identical era runs produce identical NC sets.
+// Fidelity goldens: the corpora the learner produces on fixed test-scale
+// inputs, pinned by core.FingerprintNCs (suffixes, classes and regexes),
+// plus the regexes of a few named suffixes so a failure shows what
+// moved. They change only when the learner's output changes; a change
+// that claims to keep the learned conventions must keep them. Between
+// them they catch a flip of any learner default: phase 2 merging moves
+// only the itdk-2020-01 corpora, the typo credit only the PeeringDB
+// corpus over itdk-2015-01, phases 3 and 4 move nearly all of them.
+var goldens = map[string]struct {
+	fp      string
+	regexes map[string][]string
+}{
+	"itdk-2012-01": {"b94e78a52312724f", map[string][]string{
+		"bilasar.nl":   {`^.+\.as(\d+)\.bilasar\.nl$`},
+		"latam-ix.de":  {`^as(\d+)\.latam-ix\.de$`},
+		"mefat.com.br": {`^[a-z\d]+\.as(\d+)\.[a-z]+\.mefat\.com\.br$`, `^as(\d+)-\d+\.[a-z]+\.[a-z]+\.mefat\.com\.br$`},
+	}},
+	"pdb@itdk-2015-01": {"7caacc34f38e90a4", map[string][]string{
+		"cagat-ix.de": {`^as(\d+)-\d+\.[a-z]+\.[a-z]+\.cagat-ix\.de$`, `^[a-z\d]+\.as(\d+)\.[a-z]+\.cagat-ix\.de$`},
+		"dirin-ix.at": {`^as(\d+)\.dirin-ix\.at$`},
+	}},
+	"itdk-2020-01": {"413086a1c9422718", map[string][]string{
+		"codutix.ch":   {`^[a-z\d]+-\d+\.[a-z]+\.as(\d+)\.codutix\.ch$`},
+		"vukure-ix.ch": {`^(\d+)-[a-z\d]+-[a-z]+\.vukure-ix\.ch$`, `^(?:s)?(\d+)\.[a-z\d]+\.vukure-ix\.ch$`},
+	}},
+	"pdb@itdk-2020-01": {"515a7a3691819140", map[string][]string{
+		"copem-ix.ch": {`^[a-z\d]+\.as(\d+)\.[a-z]+\.copem-ix\.ch$`, `^as(\d+)-\d+\.[a-z]+\.[a-z]+\.copem-ix\.ch$`},
+	}},
+}
+
+// checkGolden compares a learned corpus against its golden.
+func checkGolden(t *testing.T, name string, ncs []*core.NC) {
+	t.Helper()
+	g, ok := goldens[name]
+	if !ok {
+		t.Fatalf("no golden named %s", name)
+	}
+	if got := extract.FormatFingerprint(core.FingerprintNCs(ncs)); got != g.fp {
+		t.Errorf("%s: learned corpus fingerprint %s (%d NCs), golden %s", name, got, len(ncs), g.fp)
+	}
+	learned := make(map[string][]string, len(ncs))
+	for _, nc := range ncs {
+		learned[nc.Suffix] = nc.Strings()
+	}
+	for suffix, want := range g.regexes {
+		if got := learned[suffix]; !slices.Equal(got, want) {
+			t.Errorf("%s: %s learned %q, golden %q", name, suffix, got, want)
+		}
+	}
+}
+
+// TestRunDeterminism: identical era runs produce identical NC sets, and
+// those sets are the fidelity goldens.
 func TestRunDeterminism(t *testing.T) {
 	list := psl.Default()
 	e := ITDKEras()[3]
@@ -314,6 +369,20 @@ func TestRunDeterminism(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, e.Name, a.NCs)
+
+	// The PeeringDB golden learns over a later era's world, where the
+	// typo credit decides a convention's class.
+	e = ITDKEras()[8]
+	world, err := RunITDKEra(context.Background(), e, testScale, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdb, err := RunPDBEra(context.Background(), "pdb-golden", world.World, 501, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "pdb@"+e.Name, pdb.NCs)
 }
 
 // TestAblationReasonableness compares the §5 reasonableness rule against

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hoiho/internal/core"
@@ -22,9 +23,10 @@ func hbcBytes(t testing.TB, c *Corpus) []byte {
 	return buf.Bytes()
 }
 
-// TestLoadSniffsHBC proves Load picks the codec from content alone: the
-// same corpus saved both ways loads to the same fingerprint and the
-// same extraction results.
+// TestLoadSniffsHBC proves Load decides by content alone: the HBC form
+// of a corpus loads to the same fingerprint and the same extraction
+// results as the corpus it was saved from, and the JSON form of the
+// same corpus is refused with the hint that names the loadable form.
 func TestLoadSniffsHBC(t *testing.T) {
 	ncs := syntheticNCs(t, 64)
 	orig := New(ncs)
@@ -41,16 +43,12 @@ func TestLoadSniffsHBC(t *testing.T) {
 		t.Fatal("JSON output sniffs as HBC")
 	}
 
-	fromJSON, err := Load(bytes.NewReader(jsonBuf.Bytes()))
-	if err != nil {
-		t.Fatalf("load json: %v", err)
+	if _, err := Load(bytes.NewReader(jsonBuf.Bytes())); err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+		t.Fatalf("load json: err %v, want a refusal naming `hoiho -save`", err)
 	}
 	fromHBC, err := Load(bytes.NewReader(hbc))
 	if err != nil {
 		t.Fatalf("load hbc: %v", err)
-	}
-	if a, b := fromJSON.FingerprintString(), fromHBC.FingerprintString(); a != b {
-		t.Fatalf("fingerprints differ: json %s, hbc %s", a, b)
 	}
 	if a, b := orig.FingerprintString(), fromHBC.FingerprintString(); a != b {
 		t.Fatalf("fingerprint changed across save/load: %s -> %s", a, b)
@@ -59,10 +57,10 @@ func TestLoadSniffsHBC(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		host := randomHost(rng, ncs)
-		rj, okj := fromJSON.Extract(context.Background(), host)
+		ro, oko := orig.Extract(context.Background(), host)
 		rh, okh := fromHBC.Extract(context.Background(), host)
-		if okj != okh || rj != rh {
-			t.Fatalf("host %q: json (%+v,%v) vs hbc (%+v,%v)", host, rj, okj, rh, okh)
+		if oko != okh || ro != rh {
+			t.Fatalf("host %q: saved-from (%+v,%v) vs hbc (%+v,%v)", host, ro, oko, rh, okh)
 		}
 	}
 }
@@ -89,8 +87,8 @@ func TestHBCJSONSaveByteIdentity(t *testing.T) {
 	}
 }
 
-// TestHBCLoadOptions proves load-time options apply to the binary form
-// exactly as to JSON: class filtering drops conventions, and the
+// TestHBCLoadOptions proves load-time options apply to a loaded corpus
+// exactly as to New: class filtering drops conventions, and the
 // stdlib-matcher fallback still answers identically.
 func TestHBCLoadOptions(t *testing.T) {
 	ncs := syntheticNCs(t, 48)
@@ -135,57 +133,29 @@ func TestHBCLoadOptions(t *testing.T) {
 	}
 }
 
-// TestSaveFileRoutesByExtension proves the .hbc extension selects the
-// binary codec and everything else stays JSON, and that LoadFile reads
-// both back.
-func TestSaveFileRoutesByExtension(t *testing.T) {
+// TestSaveFileAlwaysWritesHBC proves SaveFile writes the HBC binary
+// form whatever the path's extension, and that LoadFile reads it back.
+func TestSaveFileAlwaysWritesHBC(t *testing.T) {
 	dir := t.TempDir()
 	orig := New(syntheticNCs(t, 16))
-
-	hbcPath := filepath.Join(dir, "corpus.hbc")
-	jsonPath := filepath.Join(dir, "corpus.json")
-	if err := orig.SaveFile(hbcPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.SaveFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-
-	hbcData, err := os.ReadFile(hbcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !corpusbin.IsHBC(hbcData) {
-		t.Fatal("SaveFile(.hbc) did not write HBC")
-	}
-	jsonData, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corpusbin.IsHBC(jsonData) || jsonData[0] != '[' {
-		t.Fatalf("SaveFile(.json) did not write the JSON array form: %.20q", jsonData)
-	}
-
-	// SaveFileBinary writes HBC regardless of extension.
-	forcedPath := filepath.Join(dir, "corpus.dat")
-	if err := orig.SaveFileBinary(forcedPath); err != nil {
-		t.Fatal(err)
-	}
-	forced, err := os.ReadFile(forcedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !corpusbin.IsHBC(forced) {
-		t.Fatal("SaveFileBinary did not write HBC")
-	}
-
-	for _, path := range []string{hbcPath, jsonPath, forcedPath} {
+	for _, name := range []string{"corpus.hbc", "corpus.json", "corpus.dat"} {
+		path := filepath.Join(dir, name)
+		if err := orig.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !corpusbin.IsHBC(data) {
+			t.Fatalf("SaveFile(%s) wrote %.8q, want the HBC magic", name, data)
+		}
 		loaded, err := LoadFile(path)
 		if err != nil {
-			t.Fatalf("LoadFile(%s): %v", path, err)
+			t.Fatalf("LoadFile(%s): %v", name, err)
 		}
 		if a, b := loaded.FingerprintString(), orig.FingerprintString(); a != b {
-			t.Fatalf("%s: fingerprint %s, want %s", path, a, b)
+			t.Fatalf("%s: fingerprint %s, want %s", name, a, b)
 		}
 	}
 }
@@ -219,7 +189,7 @@ func TestHBCLoadIsPreArmed(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptHBC proves the extract layer surfaces corpusbin's
-// fail-closed errors instead of falling back to JSON.
+// fail-closed errors.
 func TestLoadRejectsCorruptHBC(t *testing.T) {
 	data := hbcBytes(t, New(syntheticNCs(t, 8)))
 	data[len(data)-1] ^= 0x40

@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"hoiho/internal/core"
 	"hoiho/internal/experiments"
 	"hoiho/internal/extract"
 )
@@ -105,7 +107,8 @@ func TestBoundDeltaSize(t *testing.T) {
 }
 
 // coldStartMinSpeedup is how much faster a corpus must load from HBC
-// (pre-compiled programs, no JSON or regex parsing) than from JSON.
+// (pre-compiled programs, no JSON or regex parsing) than it is built
+// from its JSON form by parsing, indexing and compiling every matcher.
 const coldStartMinSpeedup = 5.0
 
 func TestBoundColdStartSpeedup(t *testing.T) {
@@ -119,18 +122,49 @@ func TestBoundColdStartSpeedup(t *testing.T) {
 	if err := c.SaveBinary(&hbcBuf); err != nil {
 		t.Fatal(err)
 	}
-	load := func(data []byte) func() {
-		return func() {
-			if _, err := extract.Load(bytes.NewReader(data)); err != nil {
-				t.Fatal(err)
-			}
+	fromJSON := func() {
+		ncs, err := core.UnmarshalNCs(jsonBuf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		extract.New(ncs).Precompile()
+	}
+	fromHBC := func() {
+		if _, err := extract.Load(bytes.NewReader(hbcBuf.Bytes())); err != nil {
+			t.Fatal(err)
 		}
 	}
-	jsonOp, hbcOp := medianTimes(load(jsonBuf.Bytes()), load(hbcBuf.Bytes()))
+	jsonOp, hbcOp := medianTimes(fromJSON, fromHBC)
 	speedup := float64(jsonOp) / float64(hbcOp)
 	t.Logf("cold start: JSON %v, HBC %v (%.1fx)", jsonOp, hbcOp, speedup)
 	if speedup < coldStartMinSpeedup {
 		t.Errorf("HBC cold start %v vs JSON %v: %.1fx faster, want >= %.0fx", hbcOp, jsonOp, speedup, coldStartMinSpeedup)
+	}
+}
+
+// loadRefuseMaxAllocs caps what Load allocates to refuse a corpus in
+// its JSON form: reading the input (the read buffer's doublings) and
+// building the error, no parse. Measured 35 (38 under -race) on the
+// ~960 KB input below; parsing it as a corpus cost ~557k.
+const loadRefuseMaxAllocs = 64
+
+// TestBoundLoadRefusesJSONAllocs: Load refuses the JSON form of a
+// 4096-convention corpus, naming the loadable form, without parsing it.
+func TestBoundLoadRefusesJSONAllocs(t *testing.T) {
+	ncs, _ := experiments.CorpusWorkload(4096, 0)
+	var jsonBuf bytes.Buffer
+	if err := extract.New(ncs).Save(&jsonBuf); err != nil {
+		t.Fatal(err)
+	}
+	data := jsonBuf.Bytes()
+	var err error
+	allocs := testing.AllocsPerRun(5, func() { _, err = extract.Load(bytes.NewReader(data)) })
+	if err == nil || !strings.Contains(err.Error(), "hoiho -save") {
+		t.Fatalf("Load of a JSON corpus: err %v, want a refusal naming `hoiho -save`", err)
+	}
+	t.Logf("Load refused a %d-byte JSON corpus in %v allocs", len(data), allocs)
+	if allocs > loadRefuseMaxAllocs {
+		t.Errorf("Load refused JSON in %v allocs/op, want <= %d", allocs, loadRefuseMaxAllocs)
 	}
 }
 

@@ -398,14 +398,14 @@ func TestExtractStreamEmpty(t *testing.T) {
 	}
 }
 
-// TestSaveLoadRoundTrip: a corpus survives the stable JSON form with
+// TestSaveLoadRoundTrip: a corpus survives its saved (HBC) form with
 // identical extraction behavior.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ncs := syntheticNCs(t, 20)
 	c := New(ncs)
 	ctx := context.Background()
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
@@ -437,7 +437,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsGarbage: malformed JSON is an error, not a panic.
+// TestLoadRejectsGarbage: input that is not a corpus is an error, not a
+// panic.
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("{not json"))); err == nil {
 		t.Fatal("garbage loaded")

@@ -1,11 +1,9 @@
 package extract
 
 import (
-	"bytes"
 	"fmt"
 
 	"hoiho/internal/core"
-	"hoiho/internal/corpusbin"
 )
 
 // fingerprint hashes the corpus content: every retained NC's suffix,
@@ -33,26 +31,3 @@ func (c *Corpus) FingerprintString() string { return FormatFingerprint(c.fp) }
 // form shared by the X-Hoiho-Corpus header, /statusz, and the cluster
 // rollout protocol — the one string every layer compares.
 func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }
-
-// FingerprintData computes the fingerprint of a serialized corpus
-// without retaining an index: the identity a daemon would stamp after
-// loading these exact bytes. An HBC input is answered from its verified
-// header (see corpusbin.PeekFingerprint); JSON pays a full load. Note
-// the result is the identity of the whole corpus — a daemon serving a
-// class-filtered view (-classes good) stamps the fingerprint of the
-// retained subset, so rollout coordination compares node acks against
-// each other, not against this value.
-func FingerprintData(data []byte) (uint64, error) {
-	if corpusbin.IsHBC(data) {
-		fp, err := corpusbin.PeekFingerprint(data)
-		if err != nil {
-			return 0, fmt.Errorf("extract: fingerprint: %w", err)
-		}
-		return fp, nil
-	}
-	c, err := Load(bytes.NewReader(data))
-	if err != nil {
-		return 0, fmt.Errorf("extract: fingerprint: %w", err)
-	}
-	return c.Fingerprint(), nil
-}

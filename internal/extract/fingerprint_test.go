@@ -31,7 +31,7 @@ func TestFingerprintStable(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := c1.Save(&buf); err != nil {
+	if err := c1.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)

@@ -1,12 +1,9 @@
 package extract
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"hoiho/internal/atomicfile"
 	"hoiho/internal/core"
@@ -14,35 +11,24 @@ import (
 	"hoiho/internal/match"
 )
 
-// maxLoadBytes caps how much corpus JSON Load will read. The full-scale
+// maxLoadBytes caps how much corpus Load will read. The full-scale
 // corpora in the paper are a few megabytes; anything near this cap is a
 // corrupt or hostile input, and failing loudly beats exhausting memory.
 const maxLoadBytes = 64 << 20
 
-// corpusEnvelope is the optional versioned wrapper form. Corpus.Save
-// writes the bare NC array (the stable form every existing consumer
-// reads); Load additionally accepts this envelope so future writers can
-// version the format without breaking today's readers.
-type corpusEnvelope struct {
-	Version int             `json:"version"`
-	NCs     json.RawMessage `json:"ncs"`
-}
-
-// corpusVersion is the only envelope version this build reads.
-const corpusVersion = 1
-
-// Load reads a corpus and indexes it, sniffing the format by leading
-// bytes: an HBC binary corpus (the "HBC" magic, see internal/corpusbin)
-// decodes straight to ready-to-serve state with no JSON parsing or
-// matcher recompilation; anything else is the stable NC JSON form (the
-// output of `hoiho -json` / `hoiho -save` / Corpus.Save). Options apply
-// as in New, so a loaded corpus can be filtered at load time, e.g.
-// Load(r, UsableOnly()).
+// Load reads an HBC binary corpus (see internal/corpusbin; the output
+// of `hoiho -save` and SaveFile) and indexes it. The records decode
+// straight to ready-to-serve state, each pre-armed with its compiled
+// match programs, so a loaded corpus never parses a regex or compiles
+// a matcher. Options apply as in New, so a loaded corpus can be
+// filtered at load time, e.g. Load(r, UsableOnly()).
 //
-// Load is strict: inputs over 64 MiB, non-corpus JSON, corrupt or
-// unsupported-version HBC, and corpora with zero conventions all return
-// descriptive errors rather than a silently empty corpus that would
-// extract nothing.
+// HBC is the one loadable format. The JSON form (`hoiho -json`, Save)
+// is for people to read and is refused here, as is any other input
+// without the HBC magic, before any parse. Load is strict: inputs over
+// 64 MiB, corrupt or unsupported-version HBC, and corpora with zero
+// conventions all return descriptive errors rather than a silently
+// empty corpus that would extract nothing.
 func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxLoadBytes+1))
 	if err != nil {
@@ -51,51 +37,9 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	if len(data) > maxLoadBytes {
 		return nil, fmt.Errorf("extract: load: input exceeds %d-byte cap", maxLoadBytes)
 	}
-	if corpusbin.IsHBC(data) {
-		return loadHBC(data, opts...)
+	if !corpusbin.IsHBC(data) {
+		return nil, fmt.Errorf("extract: load: not an HBC corpus (JSON corpora are for reading, not loading); write one with `hoiho -save x.hbc`")
 	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("extract: load: empty input")
-	}
-	if trimmed[0] == '{' {
-		var env corpusEnvelope
-		if err := json.Unmarshal(trimmed, &env); err != nil {
-			return nil, fmt.Errorf("extract: load: not a corpus file: %w", err)
-		}
-		if env.Version != corpusVersion {
-			return nil, fmt.Errorf("extract: load: unsupported corpus version %d (this build reads %d)",
-				env.Version, corpusVersion)
-		}
-		if len(env.NCs) == 0 {
-			return nil, fmt.Errorf("extract: load: corpus envelope has no %q field", "ncs")
-		}
-		trimmed = env.NCs
-	}
-	ncs, err := core.UnmarshalNCs(trimmed)
-	if err != nil {
-		return nil, fmt.Errorf("extract: load: %w", err)
-	}
-	if len(ncs) == 0 {
-		return nil, fmt.Errorf("extract: load: corpus contains no conventions")
-	}
-	for i, nc := range ncs {
-		if nc == nil || nc.Suffix == "" {
-			return nil, fmt.Errorf("extract: load: convention %d has no suffix", i)
-		}
-	}
-	c := New(ncs, opts...)
-	// A loaded corpus is about to serve: pay matcher compilation here,
-	// once, instead of on the first request per suffix.
-	c.Precompile()
-	return c, nil
-}
-
-// loadHBC indexes a decoded binary corpus, pre-arming each entry with
-// its deserialized engine so Precompile has nothing left to compile.
-// MinClass filtering simply drops the filtered entries' engines along
-// with their NCs.
-func loadHBC(data []byte, opts ...Option) (*Corpus, error) {
 	dec, err := corpusbin.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("extract: load: %w", err)
@@ -112,11 +56,13 @@ func loadHBC(data []byte, opts ...Option) (*Corpus, error) {
 		// Single-threaded: the corpus is not shared until Load returns.
 		e.eng = dec.Engines[i]
 	}
+	// Every engine is armed; Precompile compiles nothing and only
+	// publishes the ready flag.
 	c.Precompile()
 	return c, nil
 }
 
-// LoadFile loads a corpus (JSON or HBC, sniffed by content) from disk.
+// LoadFile loads an HBC corpus from disk.
 func LoadFile(path string, opts ...Option) (*Corpus, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -130,9 +76,10 @@ func LoadFile(path string, opts ...Option) (*Corpus, error) {
 	return c, nil
 }
 
-// Save writes the corpus's retained NCs as indented JSON, the stable form
-// any consumer (or a later Load) can re-index. Note that a corpus built
-// with MinClass/UsableOnly saves only the NCs it kept.
+// Save writes the corpus's retained NCs as indented JSON, the form
+// people read (the same as `hoiho -json`). Load does not read it back:
+// SaveBinary and SaveFile write the loadable form. Note that a corpus
+// built with MinClass/UsableOnly saves only the NCs it kept.
 func (c *Corpus) Save(w io.Writer) error {
 	data, err := core.MarshalNCs(c.ncs)
 	if err != nil {
@@ -166,26 +113,11 @@ func (c *Corpus) compiledEngine(nc *core.NC) *match.Engine {
 	return match.Compile(nc.Regexes)
 }
 
-// SaveFile writes the corpus to disk atomically: the bytes are written
-// to a temp file in the destination directory, synced, and renamed over
-// path, so an interrupted save never leaves a truncated corpus where a
-// good one stood. A path ending in ".hbc" selects the HBC binary form;
-// anything else writes the stable JSON form.
+// SaveFile writes the corpus to disk atomically in the HBC binary form,
+// whatever the path's extension: the bytes are written to a temp file
+// in the destination directory, synced, and renamed over path, so an
+// interrupted save never leaves a truncated corpus where a good one
+// stood.
 func (c *Corpus) SaveFile(path string) error {
-	if strings.HasSuffix(path, ".hbc") {
-		return atomicfile.WriteFile(path, c.SaveBinary)
-	}
-	return atomicfile.WriteFile(path, c.Save)
-}
-
-// SaveFileBinary writes the corpus to disk atomically in the HBC binary
-// form regardless of extension.
-func (c *Corpus) SaveFileBinary(path string) error {
 	return atomicfile.WriteFile(path, c.SaveBinary)
-}
-
-// SaveFileJSON writes the corpus to disk atomically in the stable JSON
-// form regardless of extension.
-func (c *Corpus) SaveFileJSON(path string) error {
-	return atomicfile.WriteFile(path, c.Save)
 }

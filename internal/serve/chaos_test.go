@@ -32,7 +32,6 @@ import (
 	"testing"
 	"time"
 
-	"hoiho/internal/extract"
 	"hoiho/internal/faultinject"
 	"hoiho/internal/leaktest"
 )
@@ -193,28 +192,24 @@ func TestChaosReloadUnderLoad(t *testing.T) {
 	t.Logf("verified %d responses across %d hot reloads", total, reloads)
 }
 
-// writeCorpusHBC writes the variant's corpus to path in the HBC binary
-// form. The daemon's reload path sniffs format by content, so the same
-// corpus path can alternate between JSON and HBC across reloads.
-func writeCorpusHBC(t testing.TB, path, variant string) {
+// writeCorpusJSON writes the variant's corpus to path in the JSON form
+// people read, which no corpus reader loads.
+func writeCorpusJSON(t testing.TB, path, variant string) {
 	t.Helper()
-	c, err := extract.Load(strings.NewReader(corpusJSON(variant)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SaveFileBinary(path); err != nil {
+	if err := os.WriteFile(path, []byte(corpusJSON(variant)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestChaosReloadAlternatingFormats is the PR-7 variant of the reload
-// storm: 20 hot reloads under sustained load, alternating the on-disk
-// corpus between the JSON and HBC binary forms (and between the two
-// ASN-routing variants) every iteration. The HBC form of a corpus
-// carries the same fingerprint as its JSON form, so the matrix check is
-// unchanged: every response must be a 200 whose ASN is exactly what the
-// corpus named in its X-Hoiho-Corpus header extracts, regardless of
-// which serialization the serving corpus booted from.
+// TestChaosReloadAlternatingFormats is the reload storm with the on-disk
+// corpus alternating between the HBC and JSON forms: 20 hot reloads
+// under sustained load. Each HBC reload swaps to the other ASN-routing
+// variant and must succeed. Each JSON reload writes the variant that is
+// not serving and must be refused with a 422 naming `hoiho -save`:
+// reload_failures rises, and the serving fingerprint and generation
+// never move to that variant. The matrix check is unchanged: every
+// response must be a 200 whose ASN is exactly what the corpus named in
+// its X-Hoiho-Corpus header extracts.
 func TestChaosReloadAlternatingFormats(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, path := newTestServer(t, func(c *Config) {
@@ -262,20 +257,28 @@ func TestChaosReloadAlternatingFormats(t *testing.T) {
 		}(w)
 	}
 
-	variant := "second"
+	serving, other := "first", "second"
 	for i := 0; i < reloads; i++ {
+		before := s.StatusNow()
 		if i%2 == 0 {
-			writeCorpusHBC(t, path, variant)
+			writeCorpus(t, path, other)
+			if code, body := cl.post("/-/reload"); code != http.StatusOK {
+				t.Fatalf("HBC reload %d: status %d body %q", i, code, body)
+			}
+			serving, other = other, serving
 		} else {
-			writeCorpus(t, path, variant)
-		}
-		if code, body := cl.post("/-/reload"); code != http.StatusOK {
-			t.Fatalf("reload %d: status %d body %q", i, code, body)
-		}
-		if variant == "second" {
-			variant = "first"
-		} else {
-			variant = "second"
+			writeCorpusJSON(t, path, other)
+			if code, body := cl.post("/-/reload"); code != http.StatusUnprocessableEntity || !strings.Contains(body, "hoiho -save") {
+				t.Fatalf("JSON reload %d: status %d body %q, want 422 naming `hoiho -save`", i, code, body)
+			}
+			st := s.StatusNow()
+			if st.Fingerprint != before.Fingerprint || st.Generation != before.Generation {
+				t.Fatalf("JSON reload %d moved the node: %s gen %d -> %s gen %d",
+					i, before.Fingerprint, before.Generation, st.Fingerprint, st.Generation)
+			}
+			if st.ReloadFailures != before.ReloadFailures+1 {
+				t.Fatalf("JSON reload %d: reload_failures %d, want %d", i, st.ReloadFailures, before.ReloadFailures+1)
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -310,8 +313,8 @@ func TestChaosReloadAlternatingFormats(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no requests completed during the reload storm")
 	}
-	if st := s.StatusNow(); st.Reloads != uint64(reloads)+1 { // +1 boot load
-		t.Errorf("reloads = %d, want %d", st.Reloads, reloads+1)
+	if st := s.StatusNow(); st.Reloads != reloads/2+1 || st.ReloadFailures != reloads/2 { // +1 boot load
+		t.Errorf("reloads = %d, reload_failures = %d, want %d and %d", st.Reloads, st.ReloadFailures, reloads/2+1, reloads/2)
 	}
 	t.Logf("verified %d responses across %d mixed-format hot reloads", total, reloads)
 }

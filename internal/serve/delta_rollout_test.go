@@ -21,7 +21,7 @@ import (
 // variantCorpus loads a corpusJSON variant the way the server does.
 func variantCorpus(t testing.TB, variant string) *extract.Corpus {
 	t.Helper()
-	c, err := extract.Load(strings.NewReader(corpusJSON(variant)))
+	c, err := extract.Load(bytes.NewReader(corpusHBC(t, variant)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPrepareDeltaBaseMismatchNack(t *testing.T) {
 		t.Errorf("last_rollout = %+v, want a failed epoch-3 outcome", st.LastRollout)
 	}
 	// The coordinator's fallback — a full-corpus resend — succeeds.
-	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=3", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=3", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatalf("full-corpus fallback prepare = %d: %s", w.Code, w.Body.String())
 	}
 }
@@ -136,7 +136,7 @@ func TestLastRolloutDistinguishesAbortFromNever(t *testing.T) {
 	if strings.Contains(w.Body.String(), "last_rollout") {
 		t.Fatal("fresh node must not report a last_rollout")
 	}
-	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=12", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=12", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatal("prepare failed")
 	}
 	if w := doReq(t, h, "POST", "/-/rollout/abort", ""); w.Code != 200 {

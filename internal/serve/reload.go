@@ -28,8 +28,8 @@ type snapshot struct {
 
 // Reload loads the corpus file's bytes through the same full-corpus
 // load step as a rollout prepare (the hardened extract.Load refuses
-// truncated, oversized, versionless, or empty corpora) and only then
-// publishes the result. The previous snapshot is retained for Rollback.
+// anything but HBC, and truncated, oversized, or empty corpora) and
+// only then publishes the result. The previous snapshot is retained for Rollback.
 // On any failure the running corpus is untouched — a poisoned file on
 // disk costs a logged error, never an outage. Reload only reads
 // CorpusPath and leaves a rollout's side buffer alone (a prepared
@@ -69,9 +69,10 @@ func readCorpusFile(path string) ([]byte, error) {
 }
 
 // loadLocked is the full-corpus load step Reload and a rollout prepare
-// share: data (JSON or HBC, sniffed) loads under the node's class
-// filter. A failure is counted, recorded for /statusz, and returned as
-// a ReloadError naming source. Callers hold reloadMu.
+// share: data, an HBC corpus, loads under the node's class filter
+// (extract.Load refuses anything else, JSON included). A failure is
+// counted, recorded for /statusz, and returned as a ReloadError naming
+// source. Callers hold reloadMu.
 func (s *Server) loadLocked(data []byte, source string) (*extract.Corpus, error) {
 	corpus, err := extract.Load(bytes.NewReader(data), s.corpusOpts...)
 	if err != nil {

@@ -54,10 +54,10 @@ type preparedCorpus struct {
 }
 
 // PrepareCorpus stages data into the rollout side buffer. The payload
-// is sniffed: a full corpus (JSON or HBC, with the node's class filter
-// applied) loads exactly as a Reload would; an HBD delta is applied
-// against the *live* corpus, and the side buffer receives the complete
-// patched target — commit always persists a full corpus, never a
+// is sniffed: a full HBC corpus (with the node's class filter applied)
+// loads exactly as a Reload would; an HBD delta is applied against the
+// *live* corpus, and the side buffer receives the complete patched
+// target — commit always persists a full corpus, never a
 // patch. A delta whose base is not the live corpus is refused with
 // ErrBaseMismatch (nothing staged, nothing served changes), the signal
 // the coordinator turns into a full-corpus resend for this node. The

@@ -6,6 +6,7 @@ package serve
 // reads, and the jittered Retry-After hint.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -22,7 +23,7 @@ func TestPrepareValidateCommit(t *testing.T) {
 	fpSecond := fingerprintOf(t, "second")
 
 	// Prepare stages the new corpus without serving it.
-	w := doReq(t, h, "POST", "/-/rollout/prepare", corpusJSON("second"))
+	w := doReq(t, h, "POST", "/-/rollout/prepare", string(corpusHBC(t, "second")))
 	if w.Code != 200 {
 		t.Fatalf("prepare = %d: %s", w.Code, w.Body.String())
 	}
@@ -66,7 +67,7 @@ func TestPrepareValidateCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != corpusJSON("second") {
+	if !bytes.Equal(data, corpusHBC(t, "second")) {
 		t.Error("corpus path does not hold the committed bytes")
 	}
 }
@@ -78,6 +79,12 @@ func TestPrepareRejectsCorrupt(t *testing.T) {
 	if w.Code != 422 {
 		t.Fatalf("corrupt prepare = %d, want 422", w.Code)
 	}
+	// A well-formed JSON corpus is for reading, not loading: refused
+	// the same way, naming the loadable form.
+	w = doReq(t, h, "POST", "/-/rollout/prepare", corpusJSON("second"))
+	if w.Code != 422 || !strings.Contains(w.Body.String(), "hoiho -save") {
+		t.Fatalf("JSON prepare = %d %q, want 422 naming `hoiho -save`", w.Code, w.Body.String())
+	}
 	st := s.StatusNow()
 	if st.PreparedFingerprint != "" {
 		t.Error("a rejected prepare must not stage anything")
@@ -85,14 +92,14 @@ func TestPrepareRejectsCorrupt(t *testing.T) {
 	if st.LastReloadError == "" {
 		t.Error("/statusz must surface the prepare failure")
 	}
-	if st.ReloadFailures != 1 {
-		t.Errorf("reload_failures = %d, want 1", st.ReloadFailures)
+	if st.ReloadFailures != 2 {
+		t.Errorf("reload_failures = %d, want 2", st.ReloadFailures)
 	}
 
 	// A malformed epoch fails closed: 400 naming the parameter, nothing
 	// staged, and the node's last rollout still the failure above.
 	last := *st.LastRollout
-	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=abc", corpusJSON("second"))
+	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=abc", string(corpusHBC(t, "second")))
 	if w.Code != 400 || !strings.Contains(w.Body.String(), "epoch") {
 		t.Fatalf("prepare with ?epoch=abc = %d %q, want 400 naming epoch", w.Code, w.Body.String())
 	}
@@ -123,7 +130,7 @@ func TestCommitFingerprintMismatch(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	h := s.Handler()
 	fpFirst := fingerprintOf(t, "first")
-	if w := doReq(t, h, "POST", "/-/rollout/prepare", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatal("prepare failed")
 	}
 	w := doReq(t, h, "POST", "/-/rollout/commit?fingerprint=deadbeefdeadbeef", "")
@@ -145,7 +152,7 @@ func TestCommitFingerprintMismatch(t *testing.T) {
 func TestPreparedStaleAfterReload(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	h := s.Handler()
-	if w := doReq(t, h, "POST", "/-/rollout/prepare", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatal("prepare failed")
 	}
 	// A reload slips into the epoch: the serving generation moves.
@@ -166,7 +173,7 @@ func TestPreparedStaleAfterReload(t *testing.T) {
 func TestAbortIdempotent(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	h := s.Handler()
-	if w := doReq(t, h, "POST", "/-/rollout/prepare", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatal("prepare failed")
 	}
 	// The first abort drops the side buffer; the second finds none, so

@@ -51,7 +51,7 @@ import (
 // Config sizes the daemon. The zero value of every field gets a
 // production-sane default from New.
 type Config struct {
-	// CorpusPath is the saved corpus JSON (the output of `hoiho -save`)
+	// CorpusPath is the saved HBC corpus (the output of `hoiho -save`)
 	// loaded at boot and on every reload.
 	CorpusPath string
 	// Classes restricts which conventions serve, mirroring

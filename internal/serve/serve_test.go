@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hoiho/internal/core"
 	"hoiho/internal/extract"
 )
 
@@ -46,9 +48,24 @@ func corpusJSON(variant string) string {
 	return sb.String()
 }
 
+// corpusHBC encodes the variant's corpus to the HBC form every corpus
+// reader loads.
+func corpusHBC(t testing.TB, variant string) []byte {
+	t.Helper()
+	ncs, err := core.UnmarshalNCs([]byte(corpusJSON(variant)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := extract.New(ncs).SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func writeCorpus(t testing.TB, path, variant string) {
 	t.Helper()
-	if err := os.WriteFile(path, []byte(corpusJSON(variant)), 0o644); err != nil {
+	if err := os.WriteFile(path, corpusHBC(t, variant), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +75,7 @@ func writeCorpus(t testing.TB, path, variant string) {
 func fingerprintOf(t testing.TB, variant string) string {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ncs.json")
+	path := filepath.Join(dir, "ncs.hbc")
 	writeCorpus(t, path, variant)
 	c, err := extract.LoadFile(path)
 	if err != nil {
@@ -71,7 +88,7 @@ func fingerprintOf(t testing.TB, variant string) string {
 // returns it with the corpus path (for reload tests to overwrite).
 func newTestServer(t testing.TB, mod func(*Config)) (*Server, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ncs.json")
+	path := filepath.Join(t.TempDir(), "ncs.hbc")
 	writeCorpus(t, path, "first")
 	cfg := Config{CorpusPath: path}
 	if mod != nil {
@@ -91,7 +108,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{CorpusPath: filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Error("New with a missing corpus must fail")
 	}
-	path := filepath.Join(t.TempDir(), "ncs.json")
+	path := filepath.Join(t.TempDir(), "ncs.hbc")
 	writeCorpus(t, path, "first")
 	if _, err := New(Config{CorpusPath: path, Classes: "bogus"}); err == nil {
 		t.Error("New with unknown classes must fail")
@@ -418,7 +435,7 @@ func TestStatusz(t *testing.T) {
 	}
 
 	// Prepare: the reply and /statusz both show the side buffer.
-	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=5", corpusJSON("second"))
+	w = doReq(t, h, "POST", "/-/rollout/prepare?epoch=5", string(corpusHBC(t, "second")))
 	if w.Code != 200 {
 		t.Fatalf("prepare = %d: %s", w.Code, w.Body.String())
 	}
@@ -445,7 +462,7 @@ func TestStatusz(t *testing.T) {
 
 	// Prepare, validate, commit: every reply is a Status, and the
 	// commit reply names the published snapshot.
-	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=6", corpusJSON("second")); w.Code != 200 {
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=6", string(corpusHBC(t, "second"))); w.Code != 200 {
 		t.Fatalf("prepare = %d", w.Code)
 	}
 	w = doReq(t, h, "POST", "/-/rollout/validate", "")
