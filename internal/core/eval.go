@@ -175,8 +175,8 @@ func specificity(r *rex.Regex) int {
 	if !r.LeftOpen() {
 		score += 2
 	}
-	for _, t := range r.Tokens() {
-		switch t.Kind {
+	for i := 0; i < r.NumTokens(); i++ {
+		switch r.Token(i).Kind {
 		case rex.KindLit:
 			score += 4
 		case rex.KindAlt:

@@ -142,12 +142,12 @@ func TestFigure4PhaseATPs(t *testing.T) {
 	}
 }
 
-func TestFigure2SupplierConvention(t *testing.T) {
-	// The six figure-2 rows plus additional hostnames in the same
-	// convention with varied depth, standing in for the structural
-	// diversity of the full ITDK training data (on the six rows alone, a
-	// depth-specific regex legitimately scores a higher ATP).
-	items := []Item{
+// figure2Items is the six figure-2 rows plus additional hostnames in the
+// same convention with varied depth, standing in for the structural
+// diversity of the full ITDK training data (on the six rows alone, a
+// depth-specific regex legitimately scores a higher ATP).
+func figure2Items() []Item {
+	return []Item{
 		{Hostname: "ge0-2.01.p.ost.ch.as15576.nts.ch", ASN: 15576},
 		{Hostname: "lo1000.01.lns.czh.ch.as15576.nts.ch", ASN: 15576},
 		{Hostname: "te0-0-24.01.p.bre.ch.as15576.nts.ch", ASN: 15576},
@@ -160,6 +160,10 @@ func TestFigure2SupplierConvention(t *testing.T) {
 		{Hostname: "po1.agg.bsl.as15576.nts.ch", ASN: 15576},
 		{Hostname: "te2-2.02.lns.ber.ch.de.as15576.nts.ch", ASN: 15576},
 	}
+}
+
+func TestFigure2SupplierConvention(t *testing.T) {
+	items := figure2Items()
 	set, err := NewSet("nts.ch", items, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -28,9 +28,18 @@ const (
 	exclRight                 // exclude only the following delimiter
 )
 
+// generator is phase 1's dedupe state. Items share most of their
+// candidates, so each candidate is rendered into a reused key buffer
+// first and built only when its key is new.
+type generator struct {
+	seen map[string]*rex.Regex
+	toks []rex.Token // the candidate being assembled, reused
+	key  []byte      // its rendered key, reused
+}
+
 // generate builds the deduplicated base-regex pool for the set.
 func (s *Set) generate() []*rex.Regex {
-	seen := make(map[string]*rex.Regex)
+	g := &generator{seen: make(map[string]*rex.Regex)}
 	limit := s.opts.maxGenItems()
 	n := 0
 	for i := 0; i < s.ar.len(); i++ {
@@ -41,46 +50,62 @@ func (s *Set) generate() []*rex.Regex {
 			break
 		}
 		n++
-		for _, r := range s.candidatesForItem(i) {
-			key := r.String()
-			if _, ok := seen[key]; !ok {
-				seen[key] = r
-			}
-		}
+		s.candidatesForItem(g, i)
 	}
 	// The pool order feeds mergePhase's capped pairing and rank
 	// tiebreaks, so it must not inherit map iteration order.
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
+	keys := make([]string, 0, len(g.seen))
+	for key := range g.seen {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	out := make([]*rex.Regex, 0, len(keys))
 	for _, key := range keys {
-		out = append(out, seen[key])
+		out = append(out, g.seen[key])
 	}
 	return out
 }
 
-// candidatesForItem enumerates base regexes for item i.
-func (s *Set) candidatesForItem(i int) []*rex.Regex {
+// add builds the assembled candidate unless a candidate with the same
+// rendering is already in the pool; the first one seen is kept.
+func (g *generator) add(leftOpen bool) {
+	g.key = rex.AppendString(g.key[:0], leftOpen, g.toks)
+	if _, ok := g.seen[string(g.key)]; ok {
+		return
+	}
+	var (
+		r   *rex.Regex
+		err error
+	)
+	if leftOpen {
+		r, err = rex.NewOpen(g.toks...)
+	} else {
+		r, err = rex.New(g.toks...)
+	}
+	if err != nil {
+		return
+	}
+	g.seen[r.String()] = r
+}
+
+// candidatesForItem adds item i's base regexes to the pool.
+func (s *Set) candidatesForItem(g *generator, i int) {
 	name := s.ar.name(i)
 	sufParts, ok := name.SuffixParts(s.Suffix)
 	if !ok {
-		return nil
+		return
 	}
 	parts := name.Parts
 	sufStart := len(parts) - sufParts
 	if sufStart <= 0 {
 		// Hostname is just the suffix: nothing to capture.
-		return nil
+		return
 	}
 	// Literal for the registered-domain tail, including its leading
 	// delimiter: that delimiter is the byte just before the suffix's first
 	// part, so the literal is a zero-copy slice of the normalized hostname.
 	sufLit := name.Full[parts[sufStart].Start-1:]
 
-	var out []*rex.Regex
 	typo := !s.opts.DisableTypoCredit
 	spans := s.ar.spansOf(i)
 	digits := s.ar.digits[i]
@@ -105,23 +130,18 @@ func (s *Set) candidatesForItem(i int) []*rex.Regex {
 					if leftKind == "dotplus" && rightKind == "dotplus" {
 						continue // at most one ".+" per regex (§3.2)
 					}
-					r := s.assemble(parts, k, ctxPre, ctxPost, sufStart, sufLit, mode, leftKind, rightKind)
-					if r != nil {
-						out = append(out, r)
-					}
+					s.assemble(g, parts, k, ctxPre, ctxPost, sufStart, sufLit, mode, leftKind, rightKind)
 				}
 			}
 		}
 	}
-	return out
 }
 
-// assemble builds one candidate regex; nil when the combination is
-// degenerate (e.g. a ".+" with no parts to cover).
-func (s *Set) assemble(parts []hostname.Part, k int, ctxPre, ctxPost string, sufStart int, sufLit string, mode exclMode, leftKind, rightKind string) *rex.Regex {
-	// Worst case ("full"/"full"): two tokens per covered part plus the
-	// capture group and suffix literal.
-	toks := make([]rex.Token, 0, 2*sufStart+4)
+// assemble assembles one candidate regex into g's token buffer and adds
+// it to the pool; it adds nothing when the combination is degenerate
+// (e.g. a ".+" with no parts to cover).
+func (s *Set) assemble(g *generator, parts []hostname.Part, k int, ctxPre, ctxPost string, sufStart int, sufLit string, mode exclMode, leftKind, rightKind string) {
+	toks := g.toks[:0]
 	leftOpen := false
 
 	switch leftKind {
@@ -131,12 +151,12 @@ func (s *Set) assemble(parts []hostname.Part, k int, ctxPre, ctxPost string, suf
 		}
 	case "dotplus":
 		if k == 0 {
-			return nil
+			return
 		}
 		toks = append(toks, rex.DotPlus(), rex.Lit(delimLit(parts[k-1].Delim)))
 	case "open":
 		if k == 0 {
-			return nil // identical to "full" with no left parts
+			return // identical to "full" with no left parts
 		}
 		leftOpen = true
 	}
@@ -150,25 +170,12 @@ func (s *Set) assemble(parts []hostname.Part, k int, ctxPre, ctxPost string, suf
 		}
 	case "dotplus":
 		if k+1 >= sufStart {
-			return nil
+			return
 		}
 		toks = append(toks, rex.Lit(delimLit(parts[k].Delim)), rex.DotPlus())
 	}
-	toks = append(toks, rex.Lit(sufLit))
-
-	var (
-		r   *rex.Regex
-		err error
-	)
-	if leftOpen {
-		r, err = rex.NewOpen(toks...)
-	} else {
-		r, err = rex.New(toks...)
-	}
-	if err != nil {
-		return nil
-	}
-	return r
+	g.toks = append(toks, rex.Lit(sufLit))
+	g.add(leftOpen)
 }
 
 // delimLit returns the interned literal string for a part delimiter, so

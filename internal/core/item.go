@@ -168,9 +168,26 @@ func NewSet(suffix string, items []Item, opts Options) (*Set, error) {
 	}
 	s := &Set{Suffix: suffix, opts: opts}
 	a := &s.ar
-	a.partOff = append(a.partOff, 0)
-	a.runOff = append(a.runOff, 0)
-	a.spanOff = append(a.spanOff, 0)
+	// Size the arenas for every item up front, parts by counting
+	// delimiters, so the appends below do not regrow them.
+	n, nParts := len(items), 0
+	for _, it := range items {
+		nParts++
+		for i := 0; i < len(it.Hostname); i++ {
+			if hostname.IsPunct(it.Hostname[i]) {
+				nParts++
+			}
+		}
+	}
+	a.items = make([]Item, 0, n)
+	a.full = make([]string, 0, n)
+	a.digits = make([]string, 0, n)
+	a.apparent = make([]bool, 0, n)
+	a.parts = make([]hostname.Part, 0, nParts)
+	a.runs = make([]hostname.Run, 0, n)
+	a.partOff = append(make([]int32, 0, n+1), 0)
+	a.runOff = append(make([]int32, 0, n+1), 0)
+	a.spanOff = append(make([]int32, 0, n+1), 0)
 	typo := !opts.DisableTypoCredit
 	for _, it := range items {
 		if it.ASN == asn.None {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -187,9 +188,10 @@ func (s *Set) classPhase(ctx context.Context, cands []scored) ([]scored, error) 
 	for _, c := range cands {
 		seen[c.regex.String()] = true
 	}
+	m := s.matrix()
 	var produced []*rex.Regex
 	for _, c := range cands {
-		r := s.embedClasses(c.regex)
+		r := s.embedClasses(c.regex, m.column(c.regex))
 		if r == nil {
 			continue
 		}
@@ -200,7 +202,6 @@ func (s *Set) classPhase(ctx context.Context, cands []scored) ([]scored, error) 
 		seen[key] = true
 		produced = append(produced, r)
 	}
-	m := s.matrix()
 	if err := m.ensure(ctx, produced); err != nil {
 		return nil, err
 	}
@@ -213,44 +214,52 @@ func (s *Set) classPhase(ctx context.Context, cands []scored) ([]scored, error) 
 
 // embedClasses returns a copy of r with every exclusion component whose
 // matched substrings admit a character class replaced by that class; nil
-// when nothing changed.
-func (s *Set) embedClasses(r *rex.Regex) *rex.Regex {
-	toks := r.Tokens()
+// when nothing changed. It walks only the items r's column c matched,
+// taking each token's span from the column's compiled program, with the
+// stdlib oracle (rex.Regex.AppendTokenSpans) for a program that cannot
+// say.
+func (s *Set) embedClasses(r *rex.Regex, c *column) *rex.Regex {
 	exclIdx := make([]int, 0, 2)
-	for i, t := range toks {
-		if t.Kind == rex.KindExcl {
+	for i := 0; i < r.NumTokens(); i++ {
+		if r.Token(i).Kind == rex.KindExcl {
 			exclIdx = append(exclIdx, i)
 		}
 	}
 	if len(exclIdx) == 0 {
 		return nil
 	}
-	samples := make(map[int][]string, len(exclIdx))
+	fits := make([]rex.ClassFit, len(exclIdx))
 	var spanBuf [][2]int
-	for i := 0; i < s.ar.len(); i++ {
-		full := s.ar.full[i]
-		spans, ok := r.AppendTokenSpans(spanBuf, full)
-		spanBuf = spans[:0]
-		if !ok {
-			continue
-		}
-		for _, ti := range exclIdx {
-			sp := spans[ti]
-			if sp[0] >= 0 && sp[1] > sp[0] {
-				samples[ti] = append(samples[ti], full[sp[0]:sp[1]])
+	for w, word := range c.matched {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			full := s.ar.full[w*64+bits.TrailingZeros64(rest)]
+			spans, ok := c.eng.AppendTokenSpans(spanBuf, 0, full)
+			if !ok {
+				spans, ok = r.AppendTokenSpans(spanBuf, full)
+			}
+			spanBuf = spans[:0]
+			if !ok {
+				continue
+			}
+			for j, ti := range exclIdx {
+				if sp := spans[ti]; sp[0] >= 0 && sp[1] > sp[0] {
+					fits[j].Add(full[sp[0]:sp[1]])
+				}
 			}
 		}
 	}
-	changed := false
-	for _, ti := range exclIdx {
-		cl, ok := rex.NarrowestClass(samples[ti])
+	var toks []rex.Token
+	for j, ti := range exclIdx {
+		cl, ok := fits[j].Class()
 		if !ok {
 			continue
 		}
+		if toks == nil {
+			toks = r.Tokens()
+		}
 		toks[ti] = rex.ClassTok(cl)
-		changed = true
 	}
-	if !changed {
+	if toks == nil {
 		return nil
 	}
 	var (

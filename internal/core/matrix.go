@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"hoiho/internal/faultinject"
+	"hoiho/internal/match"
 	"hoiho/internal/rex"
 )
 
@@ -50,10 +51,14 @@ func (b bitset) count() int {
 
 // column holds one regex's memoized outcome against every item.
 type column struct {
-	// bad marks a regex that failed to compile: it matches nothing, and
-	// its eval charges an FN for every apparent-ASN item (exactly what
-	// the naive Evaluate returns for such a regex).
-	bad     bool
+	// bad marks a regex match.Compile drops (the stdlib cannot compile
+	// it): it matches nothing, and its eval charges an FN for every
+	// apparent-ASN item (exactly what the naive Evaluate returns for such
+	// a regex).
+	bad bool
+	// eng is the regex compiled alone, the matcher the column was built
+	// with; the §3.4 class phase reads token spans from it.
+	eng     *match.Engine
 	matched bitset
 	tp      bitset   // subset of matched: congruent and outside IP spans
 	ext     []uint32 // per-item interned extraction ID (valid where matched)
@@ -129,25 +134,31 @@ func newColumns(k, n int) []column {
 	return cols
 }
 
-// buildColumn runs one regex over every item, filling the caller's
-// pre-allocated (zeroed) column and exts scratch. It performs no
-// interning and touches no shared state, so builds can fan out across
-// goroutines; the raw extraction strings feed a serial finish pass.
+// buildColumn runs one regex over every item on the compiled matcher
+// (internal/match, whose leftmost-first captures are the stdlib's),
+// filling the caller's pre-allocated (zeroed) column and exts scratch.
+// It performs no interning and touches no shared state, so builds can
+// fan out across goroutines; the raw extraction strings feed a serial
+// finish pass.
 func (m *matrix) buildColumn(r *rex.Regex, c *column, exts []string) {
-	if _, err := r.Compile(); err != nil {
+	eng := match.Compile([]*rex.Regex{r})
+	if eng.Len() == 0 {
 		c.bad = true
 		return
 	}
+	c.eng = eng
 	ar := &m.s.ar
 	typo := !m.s.opts.DisableTypoCredit
 	for i := 0; i < ar.len(); i++ {
-		ext, start, end, ok := r.Extract(ar.full[i])
+		full := ar.full[i]
+		h, ok := eng.MatchString(full)
 		if !ok {
 			continue
 		}
+		ext := full[h.Start:h.End]
 		c.matched.set(i)
 		exts[i] = ext
-		if !inSpans(ar.spansOf(i), start, end) && congruentDigits(ext, ar.digits[i], typo) {
+		if !inSpans(ar.spansOf(i), h.Start, h.End) && congruentDigits(ext, ar.digits[i], typo) {
 			c.tp.set(i)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -124,8 +125,10 @@ func TestClassPhaseEmbedsNarrowestClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := mustParseRegex(t, `^(\d+)\.[^\.]+\.x\.com$`)
-	out := set.embedClasses(r)
+	embed := func(set *Set, r *rex.Regex) *rex.Regex {
+		return set.embedClasses(r, set.matrix().column(r))
+	}
+	out := embed(set, mustParseRegex(t, `^(\d+)\.[^\.]+\.x\.com$`))
 	if out == nil {
 		t.Fatal("no class-embedded regex")
 	}
@@ -141,12 +144,12 @@ func TestClassPhaseEmbedsNarrowestClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2 := set2.embedClasses(mustParseRegex(t, `^(\d+)\.[^\.]+\.y\.com$`))
+	out2 := embed(set2, mustParseRegex(t, `^(\d+)\.[^\.]+\.y\.com$`))
 	if out2 == nil || out2.String() != `^(\d+)\.[a-z]+\.y\.com$` {
 		t.Errorf("embedded = %v", out2)
 	}
 	// No exclusion tokens: nothing to do.
-	if set2.embedClasses(mustParseRegex(t, `^as(\d+)\.y\.com$`)) != nil {
+	if embed(set2, mustParseRegex(t, `^as(\d+)\.y\.com$`)) != nil {
 		t.Error("regex without exclusions should return nil")
 	}
 }
@@ -329,5 +332,60 @@ func TestOutcomeString(t *testing.T) {
 	if OutcomeTP.String() != "TP" || OutcomeFP.String() != "FP" ||
 		OutcomeFN.String() != "FN" || OutcomeNone.String() != "-" {
 		t.Error("Outcome strings wrong")
+	}
+}
+
+// TestGenerateDedupeKey: for every candidate phase 1 assembles, the key
+// generate dedupes on is the String of the regex New or NewOpen builds
+// from it. Each candidate goes into a fresh pool, so add builds it and
+// the pool's one key is that String. Every digit run seeds candidates
+// here, congruent or not, for more shapes than generate would try.
+func TestGenerateDedupeKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sets := map[string][]Item{
+		"equinix.com": figure4Items(),
+		"nts.ch":      figure2Items(),
+		"rand.net":    randomItems(rng, 80),
+	}
+	for suffix, items := range sets {
+		set, err := NewSet(suffix, items, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := 0
+		for i := 0; i < set.Len(); i++ {
+			name := set.ar.name(i)
+			sufParts, _ := name.SuffixParts(suffix)
+			sufStart := len(name.Parts) - sufParts
+			if sufStart <= 0 {
+				continue
+			}
+			sufLit := name.Full[name.Parts[sufStart].Start-1:]
+			for _, run := range set.ar.runsOf(i) {
+				if run.Part >= sufStart {
+					continue
+				}
+				k := run.Part
+				part := name.Parts[k]
+				pre, post := part.Text[:run.Start-part.Start], part.Text[run.End()-part.Start:]
+				for _, mode := range []exclMode{exclBoth, exclLeft, exclRight} {
+					for _, left := range []string{"full", "dotplus", "open"} {
+						for _, right := range []string{"full", "dotplus"} {
+							g := &generator{seen: make(map[string]*rex.Regex)}
+							set.assemble(g, name.Parts, k, pre, post, sufStart, sufLit, mode, left, right)
+							for key, r := range g.seen {
+								built++
+								if string(g.key) != key || r.String() != key {
+									t.Fatalf("%s: key %q, regex renders %q", name.Full, g.key, r.String())
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if built == 0 {
+			t.Fatalf("%s: no candidates assembled", suffix)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package hostname
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 )
 
@@ -181,11 +182,15 @@ func (n Name) AppendEmbeddedIPSpans(dst []Span, addr netip.Addr) []Span {
 			}
 		}
 	}
-	// Whole-address decimal in one part.
-	dec := fmt.Sprintf("%d", uint32(oct[0])<<24|uint32(oct[1])<<16|uint32(oct[2])<<8|uint32(oct[3]))
-	hex := fmt.Sprintf("%02x%02x%02x%02x", oct[0], oct[1], oct[2], oct[3])
+	// Whole-address decimal or zero-padded hex in one part, rendered
+	// into a stack buffer. v|1<<32 has nine hex digits; dropping its
+	// leading "1" leaves v padded to eight.
+	v := uint64(oct[0])<<24 | uint64(oct[1])<<16 | uint64(oct[2])<<8 | uint64(oct[3])
+	var buf [19]byte
+	dec := strconv.AppendUint(buf[:0:10], v, 10)
+	hex := strconv.AppendUint(buf[10:10], v|1<<32, 16)[1:]
 	for _, p := range n.Parts {
-		if p.Text == dec || p.Text == hex {
+		if p.Text == string(dec) || p.Text == string(hex) {
 			spans = append(spans, Span{p.Start, p.End()})
 		}
 	}

@@ -1,6 +1,7 @@
 package hostname
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -167,6 +168,32 @@ func TestEmbeddedIPSpansDecimalAndHex(t *testing.T) {
 	n = MustParse("0a000001.example.net")
 	if spans := n.EmbeddedIPSpans(addr); len(spans) != 1 {
 		t.Fatalf("hex spans = %+v", spans)
+	}
+}
+
+// Property: a part holding the whole address in decimal or "%08x" hex
+// is one embedded-IP span, and finding it allocates nothing.
+func TestEmbeddedIPSpansWholeAddress(t *testing.T) {
+	f := func(a [4]byte) bool {
+		addr := netip.AddrFrom4(a)
+		v := uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
+		for _, part := range []string{fmt.Sprintf("%d", v), fmt.Sprintf("%08x", v)} {
+			n := MustParse("r1." + part + ".example.net")
+			spans := n.EmbeddedIPSpans(addr)
+			if len(spans) != 1 || n.Full[spans[0].Start:spans[0].End] != part {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	n := MustParse("r1.167772161.example.net")
+	dst := make([]Span, 0, 4)
+	addr := netip.MustParseAddr("10.0.0.1")
+	if allocs := testing.AllocsPerRun(100, func() { n.AppendEmbeddedIPSpans(dst, addr) }); allocs != 0 {
+		t.Errorf("AppendEmbeddedIPSpans = %v allocs/op, want 0", allocs)
 	}
 }
 

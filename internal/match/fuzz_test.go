@@ -10,7 +10,8 @@ import (
 // bytes deterministically assemble a rex AST (specAST), host is an
 // arbitrary byte string, and the compiled engine must agree with the
 // stdlib regexp path on match/no-match, winning index, capture span,
-// and the extracted digits rex.Extract reports for the same regex.
+// the extracted digits rex.Extract reports for the same regex, and
+// every token's span (checkSpans).
 func FuzzCompiledMatchParity(f *testing.F) {
 	f.Add([]byte{0, 3, 2, 1, 4, 0}, "as64512.example.net")
 	f.Add([]byte{1, 0, 2, 9, 0, 200, 4, 4}, "xas15576.nts.ch")
@@ -37,6 +38,9 @@ func FuzzCompiledMatchParity(f *testing.F) {
 		if gok != wok || gh != wh {
 			t.Fatalf("parity broken: regex %q host %q:\n  compiled %+v ok=%v\n  stdlib   %+v ok=%v",
 				r, host, gh, gok, wh, wok)
+		}
+		if eng.Len() == 1 {
+			checkSpans(t, eng, r, host)
 		}
 		if !gok {
 			return

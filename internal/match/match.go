@@ -101,6 +101,31 @@ func (e *Engine) MatchString(host string) (Hit, bool) {
 	return Hit{}, false
 }
 
+// AppendTokenSpans reports the byte span each token of program index
+// (the Hit.Index MatchString reports) consumed in host, along the
+// leftmost-first path MatchString accepts, appending them to dst[:0]. It
+// is the compiled counterpart of rex.Regex.AppendTokenSpans, and a
+// separate walk from MatchString, which records nothing. ok is false
+// when the program does not match host or cannot say: an oracle-backed
+// program, or a search that exhausts the step budget. Callers then ask
+// rex.Regex.AppendTokenSpans, the stdlib oracle.
+func (e *Engine) AppendTokenSpans(dst [][2]int, index int, host string) ([][2]int, bool) {
+	p := e.programs[index]
+	if p.oracle || len(host) < p.minLen {
+		return dst[:0], false
+	}
+	if cap(dst) < len(p.ops) {
+		dst = make([][2]int, len(p.ops))
+	}
+	// A successful search records every op's span, so the slots need no
+	// clearing first.
+	v := spanVM{host: host, steps: stepBudget, spans: dst[:len(p.ops)]}
+	if v.search(p) {
+		return v.spans, true
+	}
+	return dst[:0], false
+}
+
 // RegexpSet is the stdlib counterpart of Engine: the property-test and
 // fuzz oracle the compiled engine must agree with.
 type RegexpSet struct {

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,33 @@ func checkParity(t *testing.T, r *rex.Regex, host string) {
 	if gok != wok || gh != wh {
 		t.Fatalf("parity broken: regex %q host %q:\n  compiled %+v ok=%v\n  stdlib   %+v ok=%v",
 			r, host, gh, gok, wh, wok)
+	}
+	if eng.Len() == 1 {
+		checkSpans(t, eng, r, host)
+	}
+}
+
+// checkSpans asserts the compiled token spans of eng's only program
+// equal the stdlib's instrumented spans (rex.Regex.TokenSpans) on host.
+// The engine may decline a host the regex matches only when its
+// program is oracle-backed or the span search exhausts its step budget.
+func checkSpans(t *testing.T, eng *Engine, r *rex.Regex, host string) {
+	t.Helper()
+	want, wok := r.TokenSpans(host)
+	got, ok := eng.AppendTokenSpans(nil, 0, host)
+	if !ok {
+		if !wok {
+			return
+		}
+		p := eng.programs[0]
+		v := spanVM{host: host, steps: stepBudget, spans: make([][2]int, len(p.ops))}
+		if !p.oracle && (v.search(p) || v.steps >= 0) {
+			t.Fatalf("regex %q host %q: compiled spans declined a match the oracle spans as %v", r, host, want)
+		}
+		return
+	}
+	if !wok || !slices.Equal(got, want) {
+		t.Fatalf("regex %q host %q: compiled spans %v, stdlib spans %v (ok=%v)", r, host, got, want, wok)
 	}
 }
 
@@ -197,6 +225,14 @@ func TestEngineSetParity(t *testing.T) {
 			t.Fatalf("set parity broken on %q: compiled %+v %v, stdlib %+v %v",
 				host, gh, gok, wh, wok)
 		}
+		if !gok {
+			continue
+		}
+		got, ok := eng.AppendTokenSpans(nil, gh.Index, host)
+		want, _ := set[gh.Index].TokenSpans(host)
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("%q: program %d spans %v (ok=%v), stdlib %v", host, gh.Index, got, ok, want)
+		}
 	}
 }
 
@@ -230,9 +266,9 @@ func TestBacktrackBudgetFallback(t *testing.T) {
 	}
 	toks = append(toks, rex.Lit("!"))
 	r := rex.MustNew(toks...)
-	checkParity(t, r, "1"+strings.Repeat("a", 40))          // no match, exponential without budget
-	checkParity(t, r, "1"+strings.Repeat("a", 40)+"!")      // match
-	checkParity(t, r, "123"+strings.Repeat("ab", 20)+"x!")  // match with digits run
+	checkParity(t, r, "1"+strings.Repeat("a", 40))         // no match, exponential without budget
+	checkParity(t, r, "1"+strings.Repeat("a", 40)+"!")     // match
+	checkParity(t, r, "123"+strings.Repeat("ab", 20)+"x!") // match with digits run
 }
 
 // TestOracleProgram: an AST the lowering cannot represent (non-ASCII

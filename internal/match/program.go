@@ -674,6 +674,125 @@ func (v *vm) setCap(o *op, s, e int) bool {
 	return true
 }
 
+// spanVM is vm with every op's span recorded along the accepted path,
+// for the learner's class phase. It is a separate walk so that vm.run,
+// which lookups use, does no recording work.
+type spanVM struct {
+	host  string
+	steps int
+	spans [][2]int
+}
+
+// search tries each start offset in turn, as vm's leftmost-first search
+// does: only offset 0 for a start-anchored program.
+func (v *spanVM) search(p *program) bool {
+	for s := 0; s <= len(v.host)-p.minLen; s++ {
+		if v.run(p, 0, s) {
+			return true
+		}
+		if v.steps < 0 || !p.leftOpen {
+			return false
+		}
+	}
+	return false
+}
+
+// run explores ops[i:] at pos in vm.run's order — greedy runs longest
+// first, alternatives in rendered order with the optional empty match
+// last — and on success records each op's span on the way back out.
+func (v *spanVM) run(p *program, i, pos int) bool {
+	v.steps--
+	if v.steps < 0 {
+		return false
+	}
+	if i == len(p.ops) {
+		return pos == len(v.host)
+	}
+	o := &p.ops[i]
+	switch o.kind {
+	case opLit:
+		end := pos + len(o.lit)
+		return end <= len(v.host) && v.host[pos:end] == o.lit && v.take(p, i, pos, end)
+
+	case opAlt:
+		for _, a := range o.alts {
+			end := pos + len(a)
+			if end <= len(v.host) && v.host[pos:end] == a {
+				if v.take(p, i, pos, end) {
+					return true
+				}
+				if v.steps < 0 {
+					return false
+				}
+			}
+		}
+		return o.opt && v.take(p, i, pos, pos)
+
+	case opSet:
+		max := pos
+		for max < len(v.host) && o.set.has(v.host[max]) {
+			max++
+		}
+		if ft := o.fixedTail; ft >= 0 {
+			end := len(v.host) - ft
+			return end > pos && end <= max && v.take(p, i, pos, end)
+		}
+		for end := max; end > pos; end-- {
+			if v.take(p, i, pos, end) {
+				return true
+			}
+			if v.steps < 0 {
+				return false
+			}
+		}
+
+	case opExcl:
+		max, sawMulti := pos, false
+		for max < len(v.host) {
+			b := v.host[max]
+			if b < utf8.RuneSelf {
+				if o.set.has(b) {
+					break
+				}
+				max++
+			} else {
+				_, w := utf8.DecodeRuneInString(v.host[max:])
+				max += w
+				sawMulti = sawMulti || w > 1
+			}
+		}
+		if ft := o.fixedTail; ft >= 0 {
+			end := len(v.host) - ft
+			return end > pos && end <= max && (!sawMulti || runeBoundaryFrom(v.host, pos, end)) && v.take(p, i, pos, end)
+		}
+		for end := max; end > pos; {
+			if v.take(p, i, pos, end) {
+				return true
+			}
+			if v.steps < 0 {
+				return false
+			}
+			if v.host[end-1] < utf8.RuneSelf {
+				end--
+			} else {
+				_, w := utf8.DecodeLastRuneInString(v.host[:end])
+				end -= w
+			}
+		}
+	}
+	return false
+}
+
+// take matches the rest of the program from end and, when that
+// succeeds, records op i's span.
+func (v *spanVM) take(p *program, i, pos, end int) bool {
+	if !v.run(p, i+1, end) {
+		return false
+	}
+	v.spans[i] = [2]int{pos, end}
+	return true
+}
+
 // runeBoundaryFrom reports whether end lies on a rune boundary when
 // decoding forward from start.
 func runeBoundaryFrom(host string, start, end int) bool {

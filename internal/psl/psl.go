@@ -203,19 +203,11 @@ func (l *List) PublicSuffix(domain string) (suffix string, explicit bool) {
 // itself a public suffix or is empty.
 func (l *List) RegisteredDomain(domain string) (reg string, ok bool) {
 	domain = normalize(domain)
-	if domain == "" {
+	start, ok := l.RegisteredDomainStart(domain)
+	if !ok {
 		return "", false
 	}
-	suffix, _ := l.PublicSuffix(domain)
-	if suffix == domain {
-		return "", false
-	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	if rest == domain {
-		return "", false
-	}
-	i := strings.LastIndexByte(rest, '.')
-	return rest[i+1:] + "." + suffix, true
+	return domain[start:], true
 }
 
 // RegisteredDomainStart is the allocation-free form of RegisteredDomain:

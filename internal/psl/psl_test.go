@@ -193,10 +193,31 @@ func BenchmarkRegisteredDomain(b *testing.B) {
 	}
 }
 
-// Property: RegisteredDomainStart agrees with RegisteredDomain on every
-// normalized input, across normal, wildcard, exception, and implicit
+// registeredDomainOracle is RegisteredDomain as it was before it sliced
+// the input at RegisteredDomainStart: the public suffix from
+// PublicSuffix's label split and join, plus one label, joined into a new
+// string.
+func registeredDomainOracle(l *List, domain string) (string, bool) {
+	domain = normalize(domain)
+	if domain == "" {
+		return "", false
+	}
+	suffix, _ := l.PublicSuffix(domain)
+	if suffix == domain {
+		return "", false
+	}
+	rest := strings.TrimSuffix(domain, "."+suffix)
+	if rest == domain {
+		return "", false
+	}
+	i := strings.LastIndexByte(rest, '.')
+	return rest[i+1:] + "." + suffix, true
+}
+
+// Property: RegisteredDomain and RegisteredDomainStart agree with the
+// split-and-join oracle across normal, wildcard, exception, and implicit
 // rules, including degenerate shapes (bare TLDs, empty labels, public
-// suffixes themselves).
+// suffixes themselves); RegisteredDomain also on unnormalized input.
 func TestRegisteredDomainStartEquivalence(t *testing.T) {
 	lists := map[string]*List{
 		"default": Default(),
@@ -209,14 +230,18 @@ func TestRegisteredDomainStartEquivalence(t *testing.T) {
 		"x.deep.rule.zz", "deep.rule.zz", "rule.zz", "zz",
 		"a.wild.qq", "b.a.wild.qq", "wild.qq", "qq",
 		"a..com", "..com", ".com", "a.b", "b", "no-dots",
-		"x.y.z.w.v.u.t.com",
+		"x.y.z.w.v.u.t.com", "WWW.Example.COM.", " b.a.com ", "X.ORG.NZ",
 	}
 	for name, l := range lists {
 		for _, h := range hosts {
+			wantReg, wantOK := registeredDomainOracle(l, h)
+			if reg, ok := l.RegisteredDomain(h); reg != wantReg || ok != wantOK {
+				t.Errorf("%s: RegisteredDomain(%q) = %q,%v, oracle %q,%v",
+					name, h, reg, ok, wantReg, wantOK)
+			}
 			if h != normalize(h) {
 				continue // Start requires normalized input by contract
 			}
-			wantReg, wantOK := l.RegisteredDomain(h)
 			start, ok := l.RegisteredDomainStart(h)
 			if ok != wantOK {
 				t.Errorf("%s: RegisteredDomainStart(%q) ok=%v, RegisteredDomain ok=%v",
@@ -243,7 +268,10 @@ func TestRegisteredDomainStartRandomized(t *testing.T) {
 		parts = append(parts, string(rune('a'+c%26))+"9")
 		parts = append(parts, []string{"com", "org.nz", "ch", "zz", "anything.ck", "www.ck"}[d%6])
 		h := strings.Join(parts, ".")
-		wantReg, wantOK := l.RegisteredDomain(h)
+		wantReg, wantOK := registeredDomainOracle(l, h)
+		if reg, ok := l.RegisteredDomain(h); reg != wantReg || ok != wantOK {
+			return false
+		}
 		start, ok := l.RegisteredDomainStart(h)
 		if ok != wantOK {
 			return false
@@ -266,6 +294,15 @@ func TestRegisteredDomainStartAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("RegisteredDomainStart allocates %.1f allocs/op, want 0", allocs)
 	}
+	// RegisteredDomain slices its normalized input too.
+	allocs = testing.AllocsPerRun(200, func() {
+		if _, ok := l.RegisteredDomain(host); !ok {
+			t.Fatal("no registered domain")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RegisteredDomain allocates %.1f allocs/op on a normalized host, want 0", allocs)
+	}
 }
 
 func TestHasRuleBeneath(t *testing.T) {
@@ -276,11 +313,11 @@ func TestHasRuleBeneath(t *testing.T) {
 	}{
 		{"com", false},
 		{"org.nz", false},
-		{"nz", true},       // org.nz lies beneath
-		{"ck", true},       // both *.ck (wildcard rooted at ck) and !www.ck
-		{"rule.zz", true},  // deep.rule.zz lies beneath
-		{"zz", true},       // deep.rule.zz lies beneath
-		{"ule.zz", false},  // label-boundary, not substring, matching
+		{"nz", true},      // org.nz lies beneath
+		{"ck", true},      // both *.ck (wildcard rooted at ck) and !www.ck
+		{"rule.zz", true}, // deep.rule.zz lies beneath
+		{"zz", true},      // deep.rule.zz lies beneath
+		{"ule.zz", false}, // label-boundary, not substring, matching
 		{"x.com", false},
 		{"", false},
 	}

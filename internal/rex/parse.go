@@ -57,21 +57,32 @@ func Parse(src string) (*Regex, error) {
 			toks = append(toks, DotPlus())
 			i += 2
 		case strings.HasPrefix(s[i:], "[^"):
-			end := strings.Index(s[i:], "]+")
+			end := findClassEnd(s, i+2)
 			if end < 0 {
 				return nil, fmt.Errorf("rex: parse %q: unterminated class at %d", src, i)
 			}
-			body := s[i+2 : i+end]
+			body := s[i+2 : end]
+			// Store the set in render order, dash last and once, so a
+			// hand-written "[^-0]+" parses to what its render "[^0-]+"
+			// parses to. Rendered text already has that order.
 			var chars []byte
+			dash := false
 			for j := 0; j < len(body); j++ {
 				if body[j] == '\\' && j+1 < len(body) {
 					j++
 				}
+				if body[j] == '-' {
+					dash = true
+					continue
+				}
 				chars = append(chars, body[j])
+			}
+			if dash {
+				chars = append(chars, '-')
 			}
 			flush()
 			toks = append(toks, Excl(string(chars)))
-			i += end + 2
+			i = end + 2
 		case strings.HasPrefix(s[i:], "(?:"):
 			end := findGroupEnd(s, i+3)
 			if end < 0 {
@@ -108,6 +119,21 @@ func Parse(src string) (*Regex, error) {
 	}
 	flush()
 	return build(leftOpen, toks)
+}
+
+// findClassEnd returns the index of the "]+" closing the exclusion
+// class whose body starts at i, skipping escaped characters; -1 when
+// unterminated.
+func findClassEnd(s string, i int) int {
+	for ; i+1 < len(s); i++ {
+		switch {
+		case s[i] == '\\':
+			i++
+		case s[i] == ']' && s[i+1] == '+':
+			return i
+		}
+	}
+	return -1
 }
 
 // findGroupEnd returns the index of the ')' closing the group whose body

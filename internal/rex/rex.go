@@ -93,62 +93,44 @@ func Alt(opt bool, alts ...string) Token {
 	return Token{Kind: KindAlt, Alts: sorted, Opt: opt}
 }
 
-// render appends the token's regex syntax to sb.
-func (t Token) render(sb *strings.Builder) {
+// appendTo appends the token's regex syntax to b.
+func (t Token) appendTo(b []byte) []byte {
 	switch t.Kind {
 	case KindLit:
-		writeEscLit(sb, t.Lit)
+		b = appendEscLit(b, t.Lit)
 	case KindCapture:
-		sb.WriteString(`(\d+)`)
+		b = append(b, `(\d+)`...)
 	case KindCaptureAlpha:
-		sb.WriteString(`([a-z]+)`)
+		b = append(b, `([a-z]+)`...)
 	case KindExcl:
-		sb.WriteString("[^")
-		writeClassChars(sb, t.Excl)
-		sb.WriteString("]+")
+		b = append(b, "[^"...)
+		b = appendClassChars(b, t.Excl)
+		b = append(b, "]+"...)
 	case KindClass:
 		switch t.Class {
 		case ClassAlpha:
-			sb.WriteString("[a-z]+")
+			b = append(b, "[a-z]+"...)
 		case ClassDigit:
-			sb.WriteString(`\d+`)
+			b = append(b, `\d+`...)
 		default:
-			sb.WriteString(`[a-z\d]+`)
+			b = append(b, `[a-z\d]+`...)
 		}
 	case KindDotPlus:
-		sb.WriteString(".+")
+		b = append(b, ".+"...)
 	case KindAlt:
-		sb.WriteString("(?:")
+		b = append(b, "(?:"...)
 		for i, a := range t.Alts {
 			if i > 0 {
-				sb.WriteByte('|')
+				b = append(b, '|')
 			}
-			writeEscLit(sb, a)
+			b = appendEscLit(b, a)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 		if t.Opt {
-			sb.WriteByte('?')
+			b = append(b, '?')
 		}
 	}
-}
-
-// renderMax is a cheap upper bound on the token's rendered byte length,
-// used to size the String builder in one allocation.
-func (t Token) renderMax() int {
-	switch t.Kind {
-	case KindLit:
-		return 2 * len(t.Lit)
-	case KindExcl:
-		return 3 + 2*len(t.Excl)
-	case KindAlt:
-		n := 5
-		for _, a := range t.Alts {
-			n += 2*len(a) + 1
-		}
-		return n
-	default:
-		return 8 // the widest fixed form is "([a-z]+)"
-	}
+	return b
 }
 
 // equal reports deep equality of tokens.
@@ -165,22 +147,11 @@ func (t Token) equal(u Token) bool {
 	return true
 }
 
-// escapeLit escapes regex metacharacters in hostname literals. Hostname
-// alphabets only contain [a-z0-9.-_]; '.' and '-' are the characters that
-// need care ('-' only inside classes, but the paper escapes neither '-'
-// nor '_' in literals).
-func escapeLit(s string) string {
-	// QuoteMeta rather than dot-only: a literal containing \ or a
-	// quantifier character would otherwise render into a string that
-	// re-parses (and compiles) as a different regex, breaking the
-	// String/Parse round-trip FuzzParse pins. Normalized hostnames never
-	// contain those bytes, so real renders are unchanged.
-	return regexp.QuoteMeta(s)
-}
-
-// litMeta marks the bytes regexp.QuoteMeta escapes; writeEscLit keeps
-// byte-for-byte parity with escapeLit without QuoteMeta's intermediate
-// string (candidate generation renders thousands of regexes per suffix).
+// litMeta marks the bytes regexp.QuoteMeta escapes. Hostname alphabets
+// only contain [a-z0-9.-_], so real literals escape only '.'; escaping
+// every metacharacter keeps a literal containing \ or a quantifier from
+// rendering into a string that re-parses (and compiles) as a different
+// regex, which would break the String/Parse round-trip FuzzParse pins.
 var litMeta = func() (t [256]bool) {
 	for _, b := range []byte(`\.+*?()|[]{}^$`) {
 		t[b] = true
@@ -188,34 +159,55 @@ var litMeta = func() (t [256]bool) {
 	return
 }()
 
-// writeEscLit writes s with regex metacharacters escaped, equivalent to
-// sb.WriteString(escapeLit(s)) with zero intermediate allocation.
-func writeEscLit(sb *strings.Builder, s string) {
+// appendEscLit appends s with regex metacharacters escaped, byte for
+// byte what regexp.QuoteMeta returns.
+func appendEscLit(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if litMeta[s[i]] {
-			sb.WriteByte('\\')
+			b = append(b, '\\')
 		}
-		sb.WriteByte(s[i])
+		b = append(b, s[i])
 	}
+	return b
 }
 
-// writeClassChars renders characters inside [^...] the way the paper
-// prints them: dot escaped, dash last.
-func writeClassChars(sb *strings.Builder, chars string) {
+// appendClassChars renders characters inside [^...] the way the paper
+// prints them: dot escaped, dash last. A backslash and a ']' are escaped
+// too, so Parse reads the class back as the same set.
+func appendClassChars(b []byte, chars string) []byte {
 	dash := false
 	for i := 0; i < len(chars); i++ {
 		switch chars[i] {
 		case '.':
-			sb.WriteString(`\.`)
+			b = append(b, `\.`...)
+		case '\\', ']':
+			b = append(b, '\\', chars[i])
 		case '-':
 			dash = true
 		default:
-			sb.WriteByte(chars[i])
+			b = append(b, chars[i])
 		}
 	}
 	if dash {
-		sb.WriteByte('-')
+		b = append(b, '-')
 	}
+	return b
+}
+
+// AppendString appends to dst the text String renders for the regex that
+// New (or NewOpen, when leftOpen) builds from toks, without building it.
+// Empty literals render as nothing and adjacent literals render as their
+// concatenation, exactly as New drops and coalesces them, so the learner
+// can render a candidate's dedupe key into a reused buffer and build only
+// the candidates it has not seen.
+func AppendString(dst []byte, leftOpen bool, toks []Token) []byte {
+	if !leftOpen {
+		dst = append(dst, '^')
+	}
+	for _, t := range toks {
+		dst = t.appendTo(dst)
+	}
+	return append(dst, '$')
 }
 
 // Regex is a token sequence with exactly one Capture token. It is always
@@ -304,20 +296,10 @@ func (r *Regex) LeftOpen() bool { return r.leftOpen }
 // String renders the regex in the paper's syntax, including anchors.
 func (r *Regex) String() string {
 	if r.str == "" {
-		size := 2
-		for _, t := range r.tokens {
-			size += t.renderMax()
-		}
-		var sb strings.Builder
-		sb.Grow(size)
-		if !r.leftOpen {
-			sb.WriteByte('^')
-		}
-		for _, t := range r.tokens {
-			t.render(&sb)
-		}
-		sb.WriteByte('$')
-		r.str = sb.String()
+		// Learned regexes render well inside the stack buffer, so the
+		// cached string is the only allocation.
+		var buf [256]byte
+		r.str = string(AppendString(buf[:0], r.leftOpen, r.tokens))
 	}
 	return r.str
 }
@@ -383,43 +365,28 @@ func (r *Regex) TokenSpans(hostname string) (spans [][2]int, ok bool) {
 // embedding) reuses a single buffer instead of allocating per match.
 func (r *Regex) AppendTokenSpans(dst [][2]int, hostname string) (spans [][2]int, ok bool) {
 	if r.inRe == nil {
-		var sb strings.Builder
+		var b []byte
 		if !r.leftOpen {
-			sb.WriteByte('^')
+			b = append(b, '^')
 		}
 		r.inIdx = make([]int, len(r.tokens))
 		group := 0
 		for i, t := range r.tokens {
 			group++
 			r.inIdx[i] = group
-			sb.WriteByte('(')
+			b = append(b, '(')
 			switch t.Kind {
-			case KindAlt:
-				// render without the outer (?:...) since we add our own group
-				sb.WriteString("(?:")
-				for j, a := range t.Alts {
-					if j > 0 {
-						sb.WriteByte('|')
-					}
-					sb.WriteString(escapeLit(a))
-				}
-				sb.WriteByte(')')
-				if t.Opt {
-					sb.WriteByte('?')
-				}
 			case KindCapture:
-				sb.WriteString(`\d+`)
+				b = append(b, `\d+`...)
 			case KindCaptureAlpha:
-				sb.WriteString(`[a-z]+`)
+				b = append(b, `[a-z]+`...)
 			default:
-				var tb strings.Builder
-				t.render(&tb)
-				sb.WriteString(tb.String())
+				b = t.appendTo(b)
 			}
-			sb.WriteByte(')')
+			b = append(b, ')')
 		}
-		sb.WriteByte('$')
-		re, err := regexp.Compile(sb.String())
+		b = append(b, '$')
+		re, err := regexp.Compile(string(b))
 		if err != nil {
 			return dst[:0], false
 		}
@@ -610,36 +577,42 @@ func (r *Regex) WithToken(i int, t Token) (*Regex, error) {
 	return build(r.leftOpen, toks)
 }
 
-// NarrowestClass returns the narrowest character class covering every
-// string in samples: [a-z]+ if all-alphabetic, \d+ if all-numeric,
-// [a-z\d]+ if alphanumeric. ok is false when a sample contains a
-// character outside [a-z0-9] or samples is empty (no basis to
-// generalize).
-func NarrowestClass(samples []string) (Class, bool) {
-	if len(samples) == 0 {
-		return 0, false
+// ClassFit finds the narrowest character class covering every sample
+// added to it: [a-z]+ if all-alphabetic, \d+ if all-numeric, [a-z\d]+ if
+// alphanumeric. Samples are added one at a time, so a caller need not
+// collect them. The zero value has seen none.
+type ClassFit struct {
+	seen, alpha, digit, bad bool
+}
+
+// Add folds one sample into the fit.
+func (f *ClassFit) Add(s string) {
+	f.seen = true
+	if s == "" {
+		f.bad = true
 	}
-	hasAlpha, hasDigit := false, false
-	for _, s := range samples {
-		if s == "" {
-			return 0, false
-		}
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			switch {
-			case 'a' <= c && c <= 'z':
-				hasAlpha = true
-			case '0' <= c && c <= '9':
-				hasDigit = true
-			default:
-				return 0, false
-			}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z':
+			f.alpha = true
+		case '0' <= c && c <= '9':
+			f.digit = true
+		default:
+			f.bad = true
 		}
 	}
+}
+
+// Class returns the narrowest class covering the samples added so far.
+// ok is false when no sample was added (no basis to generalize), or one
+// was empty or held a character outside [a-z0-9].
+func (f ClassFit) Class() (Class, bool) {
 	switch {
-	case hasAlpha && hasDigit:
+	case !f.seen || f.bad:
+		return 0, false
+	case f.alpha && f.digit:
 		return ClassAlnum, true
-	case hasDigit:
+	case f.digit:
 		return ClassDigit, true
 	default:
 		return ClassAlpha, true

@@ -245,9 +245,13 @@ func TestNarrowestClass(t *testing.T) {
 		{[]string{""}, 0, false},
 	}
 	for _, c := range cases {
-		cl, ok := NarrowestClass(c.samples)
+		var f ClassFit
+		for _, s := range c.samples {
+			f.Add(s)
+		}
+		cl, ok := f.Class()
 		if ok != c.ok || (ok && cl != c.class) {
-			t.Errorf("NarrowestClass(%v) = %v,%v want %v,%v", c.samples, cl, ok, c.class, c.ok)
+			t.Errorf("ClassFit over %v = %v,%v want %v,%v", c.samples, cl, ok, c.class, c.ok)
 		}
 	}
 }
@@ -347,5 +351,39 @@ func BenchmarkCompile(b *testing.B) {
 		if _, err := r.Compile(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Property: AppendString renders a raw token sequence — empty and
+// adjacent literals included, which New drops and coalesces — exactly as
+// String renders the regex New or NewOpen builds from it.
+func TestAppendStringMatchesString(t *testing.T) {
+	pick := []Token{
+		Lit(""), Lit("as"), Lit("."), Lit("-"), Lit("a.b"), Lit(`x\y+`),
+		Excl("."), Excl("-."), Excl(".-"), Excl("-_"), DotPlus(),
+		ClassTok(ClassAlpha), ClassTok(ClassDigit), ClassTok(ClassAlnum),
+		Alt(false, "p", "s"), Alt(true, "", "as"),
+	}
+	f := func(pre, post []uint8, open bool) bool {
+		var toks []Token
+		for _, b := range pre[:min(len(pre), 6)] {
+			toks = append(toks, pick[int(b)%len(pick)])
+		}
+		toks = append(toks, Capture())
+		for _, b := range post[:min(len(post), 6)] {
+			toks = append(toks, pick[int(b)%len(pick)])
+		}
+		build := New
+		if open {
+			build = NewOpen
+		}
+		r, err := build(toks...)
+		if err != nil {
+			return true // more than one .+: nothing is built
+		}
+		return string(AppendString([]byte("junk")[:0], open, toks)) == r.String()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
