@@ -114,11 +114,11 @@ func (rt *Router) buildRepairDelta(prev, committed []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	commRecs, err := corpusRecords(committed)
+	commRecs, commFP, err := corpusRecords(committed)
 	if err != nil {
 		return nil
 	}
-	enc, err := corpusbin.EncodeTarget(prevBase.DeltaBase, commRecs)
+	enc, err := corpusbin.EncodeTarget(prevBase.DeltaBase, commRecs, commFP)
 	if err != nil {
 		rt.logf("anti-entropy: prev→committed diff failed: %v", err)
 		return nil

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"hoiho/internal/core"
 	"hoiho/internal/corpusbin"
 )
 
@@ -35,7 +36,8 @@ type committedBase struct {
 
 // records decodes the base's canonical records from its bytes.
 func (b *committedBase) records() ([]corpusbin.NCRecord, error) {
-	return corpusRecords(b.data)
+	recs, _, err := corpusRecords(b.data)
+	return recs, err
 }
 
 // targetPlan is the payload half of an epoch plan: what a posted corpus
@@ -55,44 +57,54 @@ type targetPlan struct {
 // canonicalRecords reduces recs to the list extract.New indexes: the
 // last record for a suffix wins and the survivors are sorted by suffix.
 // An already strictly sorted list, the form every encoder in this
-// repository writes, is returned as is.
-func canonicalRecords(recs []corpusbin.NCRecord) []corpusbin.NCRecord {
+// repository writes, is returned as is, and asIs reports it.
+func canonicalRecords(recs []corpusbin.NCRecord) (out []corpusbin.NCRecord, asIs bool) {
 	sorted := true
 	for i := 1; i < len(recs) && sorted; i++ {
 		sorted = recs[i-1].NC.Suffix < recs[i].NC.Suffix
 	}
 	if sorted {
-		return recs
+		return recs, true
 	}
 	last := make(map[string]int, len(recs))
 	for i, rec := range recs {
 		last[rec.NC.Suffix] = i
 	}
-	out := make([]corpusbin.NCRecord, 0, len(last))
+	out = make([]corpusbin.NCRecord, 0, len(last))
 	for i, rec := range recs {
 		if last[rec.NC.Suffix] == i {
 			out = append(out, rec)
 		}
 	}
 	slices.SortFunc(out, func(a, b corpusbin.NCRecord) int { return strings.Compare(a.NC.Suffix, b.NC.Suffix) })
-	return out
+	return out, false
 }
 
-// corpusRecords decodes a full HBC corpus into canonical records.
-func corpusRecords(data []byte) ([]corpusbin.NCRecord, error) {
+// corpusRecords decodes a full HBC corpus into canonical records and
+// their fingerprint: the one Decode verified when the records are left
+// as decoded, computed over the reduced list otherwise.
+func corpusRecords(data []byte) ([]corpusbin.NCRecord, uint64, error) {
 	dec, err := corpusbin.Decode(data)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(dec.NCs) == 0 {
-		return nil, fmt.Errorf("cluster: corpus contains no conventions")
+		return nil, 0, fmt.Errorf("cluster: corpus contains no conventions")
 	}
-	return canonicalRecords(dec.Records()), nil
+	recs, asIs := canonicalRecords(dec.Records())
+	if asIs {
+		return recs, dec.Fingerprint, nil
+	}
+	ncs := make([]*core.NC, len(recs))
+	for i, rec := range recs {
+		ncs[i] = rec.NC
+	}
+	return recs, core.FingerprintNCs(ncs), nil
 }
 
 // loadBase decodes and indexes a committed corpus.
 func loadBase(data []byte) (*committedBase, error) {
-	recs, err := corpusRecords(data)
+	recs, _, err := corpusRecords(data)
 	if err != nil {
 		return nil, err
 	}
@@ -140,26 +152,27 @@ func planTarget(base *committedBase, data []byte) (*targetPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rollout: committed corpus: %w", err)
 		}
-		full, recs, _, err := corpusbin.ApplyDeltaRecordsFP(baseRecs, base.Fingerprint, data)
+		patched, err := corpusbin.ApplyDeltaRecordsFP(baseRecs, base.Fingerprint, data)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rollout: %w", err)
 		}
-		if len(recs) == 0 {
+		if len(patched.Records) == 0 {
 			return nil, fmt.Errorf("cluster: rollout: HBD delta yields a corpus with no conventions")
 		}
 		p.decode = time.Since(start)
 		start = time.Now()
-		idx, err := corpusbin.IndexBase(canonicalRecords(recs))
+		recs, _ := canonicalRecords(patched.Records)
+		idx, err := corpusbin.IndexBase(recs)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rollout: %w", err)
 		}
-		p.full, p.delta, p.fp = full, data, idx.Fingerprint
-		p.next = &committedBase{data: full, DeltaBase: idx}
+		p.full, p.delta, p.fp = patched.Full, data, idx.Fingerprint
+		p.next = &committedBase{data: patched.Full, DeltaBase: idx}
 		p.encode = time.Since(start)
 		return p, nil
 	}
 
-	recs, err := corpusRecords(data)
+	recs, fp, err := corpusRecords(data)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rollout: target is not a loadable corpus (an HBC corpus from `hoiho -save x.hbc`, or with -journal an HBD patch from `hoiho -diff`): %w", err)
 	}
@@ -169,7 +182,7 @@ func planTarget(base *committedBase, data []byte) (*targetPlan, error) {
 	if base != nil {
 		diffBase = base.DeltaBase
 	}
-	enc, err := corpusbin.EncodeTarget(diffBase, recs)
+	enc, err := corpusbin.EncodeTarget(diffBase, recs, fp)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rollout: %w", err)
 	}

@@ -261,14 +261,15 @@ func TestPlanCacheFollowsCommittedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := corpusbin.PeekDeltaChain(plan.delta)
+	if plan.delta == nil {
+		t.Fatal("no delta planned against the rewritten base")
+	}
+	// The delta applies only to the corpus it chains from.
+	patched, _, err := extract.ApplyDelta(third, plan.delta)
 	if err != nil {
-		t.Fatalf("no delta planned against the rewritten base: %v", err)
+		t.Fatalf("delta does not apply to the corpus committed.corpus holds: %v", err)
 	}
-	if got := extract.FormatFingerprint(chain.Base); got != third.FingerprintString() {
-		t.Errorf("delta chains from %s, committed.corpus holds %s", got, third.FingerprintString())
-	}
-	if got := extract.FormatFingerprint(chain.Target); got != fingerprintOf(t, "first") {
+	if got := patched.FingerprintString(); got != fingerprintOf(t, "first") {
 		t.Errorf("delta chains to %s, want %s", got, fingerprintOf(t, "first"))
 	}
 }
@@ -350,6 +351,24 @@ func TestBoundPlanEpochSpeedup(t *testing.T) {
 	t.Logf("plan epoch: indexed corpora %v, records %v (%.2fx)", oracleOp, recordsOp, speedup)
 	if speedup < planMinSpeedup {
 		t.Errorf("record planner %v vs indexed-corpus planner %v: %.2fx faster, want >= %.1fx", recordsOp, oracleOp, speedup, planMinSpeedup)
+	}
+}
+
+// BenchmarkPlanTarget plans one rollout epoch on the coordinator: the
+// 32-of-4096 target, posted as HBC, against the committed base.
+func BenchmarkPlanTarget(b *testing.B) {
+	baseNCs, targetNCs := planCorpora(4096, 32)
+	committed, target := hbcOf(b, baseNCs), hbcOf(b, targetNCs)
+	base, err := loadBase(committed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := planTarget(base, target); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

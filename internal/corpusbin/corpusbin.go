@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 
 	"hoiho/internal/core"
 	"hoiho/internal/match"
@@ -96,23 +95,6 @@ func PeekFingerprint(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("corpusbin: peek: payload checksum mismatch (corrupt corpus): got %016x want %016x", got, wantSum)
 	}
 	return binary.LittleEndian.Uint64(data[4:]), nil
-}
-
-// PeekFingerprintFile reads path and peeks its fingerprint. Every
-// failure — an unreadable file, an empty file, a header truncated below
-// headerLen, a corrupt payload — comes back as an error naming the
-// path, never as a panic; the rollout journal uses this to identify the
-// corpora it has on disk after a coordinator restart.
-func PeekFingerprintFile(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("corpusbin: peek %s: %w", path, err)
-	}
-	fp, err := PeekFingerprint(data)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return fp, nil
 }
 
 // NCRecord pairs a convention with the wire form of its compiled
@@ -164,7 +146,7 @@ func (t *stringTable) ref(s string) uint64 {
 // (callers pass suffix-sorted lists, matching the JSON form), and every
 // walk below is deterministic, so equal corpora encode byte-identically.
 func Encode(w io.Writer, recs []NCRecord) error {
-	data, err := marshal(recs)
+	data, err := marshal(recs, 0, false)
 	if err != nil {
 		return err
 	}
@@ -176,29 +158,36 @@ func Encode(w io.Writer, recs []NCRecord) error {
 
 // marshal returns the complete HBC file for recs: header, string table,
 // records. Encode, the delta encoder's target pass and ApplyDelta all
-// produce their full corpus bytes here.
-func marshal(recs []NCRecord) ([]byte, error) {
+// produce their full corpus bytes here. The header's fingerprint is fp
+// when attested is set — a core.FingerprintNCs over recs' NCs the
+// caller has verified — and computed over them otherwise.
+func marshal(recs []NCRecord, fp uint64, attested bool) ([]byte, error) {
 	// Presized for the common shape (a few strings and ~100 encoded
 	// bytes per record): map rehashes and body regrowth were measurable
 	// on the delta-apply path, which re-encodes the full target file.
 	tab := &stringTable{ids: make(map[string]uint64, 4*len(recs))}
 	body := make([]byte, 0, 4096+128*len(recs))
 	body = binary.AppendUvarint(body, uint64(len(recs)))
-	ncs := make([]*core.NC, len(recs))
 	for i, rec := range recs {
 		var err error
 		body, err = appendRecord(body, tab, i, rec)
 		if err != nil {
 			return nil, err
 		}
-		ncs[i] = rec.NC
+	}
+	if !attested {
+		ncs := make([]*core.NC, len(recs))
+		for i, rec := range recs {
+			ncs[i] = rec.NC
+		}
+		fp = core.FingerprintNCs(ncs)
 	}
 
 	out := make([]byte, headerLen, headerLen+strTableLen(tab.strs)+len(body))
 	copy(out, Magic[:])
 	out = appendStrTable(out, tab.strs)
 	out = append(out, body...)
-	binary.LittleEndian.PutUint64(out[4:], core.FingerprintNCs(ncs))
+	binary.LittleEndian.PutUint64(out[4:], fp)
 	binary.LittleEndian.PutUint64(out[12:], checksum(out[headerLen:]))
 	return out, nil
 }
@@ -390,6 +379,9 @@ func checksum(payload []byte) uint64 {
 type decoder struct {
 	data []byte
 	off  int
+	// toks is decodeRegex's scratch token list, reused for every regex:
+	// the rex constructors copy the tokens they keep.
+	toks []rex.Token
 }
 
 func (d *decoder) remaining() int { return len(d.data) - d.off }
@@ -627,7 +619,7 @@ func (d *decoder) decodeRegex(table []string) (*rex.Regex, error) {
 	if err != nil {
 		return nil, err
 	}
-	toks := make([]rex.Token, 0, nToks)
+	toks := d.toks[:0]
 	for i := 0; i < nToks; i++ {
 		head, err := d.byteVal("token head")
 		if err != nil {
@@ -682,6 +674,7 @@ func (d *decoder) decodeRegex(table []string) (*rex.Regex, error) {
 		}
 		toks = append(toks, t)
 	}
+	d.toks = toks
 	var r *rex.Regex
 	if flags&rexFlagLeftOpen != 0 {
 		r, err = rex.NewOpen(toks...)

@@ -84,34 +84,6 @@ func IsHBD(data []byte) bool {
 	return len(data) >= 3 && data[0] == 'H' && data[1] == 'B' && data[2] == 'D'
 }
 
-// DeltaChain is the fingerprint pair a delta patches between.
-type DeltaChain struct {
-	Base   uint64
-	Target uint64
-}
-
-// PeekDeltaChain reads the chain from an HBD header without decoding
-// the ops. The payload checksum is verified (one FNV pass), so a
-// truncated or bit-flipped delta is rejected here exactly as ApplyDelta
-// would reject it. The rollout coordinator uses this to learn which
-// base a patch wants before choosing delta-vs-full per node.
-func PeekDeltaChain(data []byte) (DeltaChain, error) {
-	if !IsHBD(data) || len(data) < deltaHeaderLen {
-		return DeltaChain{}, fmt.Errorf("corpusbin: peek delta: not an HBD delta (missing magic)")
-	}
-	if data[3] != DeltaMagic[3] {
-		return DeltaChain{}, fmt.Errorf("corpusbin: peek delta: unsupported HBD version %d (this build reads %d)", data[3], DeltaMagic[3])
-	}
-	wantSum := binary.LittleEndian.Uint64(data[28:])
-	if got := checksum(data[deltaHeaderLen:]); got != wantSum {
-		return DeltaChain{}, fmt.Errorf("corpusbin: peek delta: payload checksum mismatch (corrupt delta): got %016x want %016x", got, wantSum)
-	}
-	return DeltaChain{
-		Base:   binary.LittleEndian.Uint64(data[4:]),
-		Target: binary.LittleEndian.Uint64(data[12:]),
-	}, nil
-}
-
 // DeltaBase is a corpus indexed as the base of HBD deltas: its
 // fingerprint, its record count, and each record's canonical key mapped
 // to its first position. It keeps no records, so holding one across
@@ -211,9 +183,17 @@ type Encoded struct {
 // cases are well-formed: identical corpora produce an all-copy patch,
 // and disjoint corpora produce an all-insert patch (a full corpus with
 // extra framing) — the size ratio is the caller's signal for whether a
-// delta is worth shipping.
-func EncodeTarget(base *DeltaBase, target []NCRecord) (*Encoded, error) {
-	full, err := marshal(target)
+// delta is worth shipping. fp is core.FingerprintNCs over target's NCs
+// in order, which the caller holds verified (Decode's, for records left
+// as decoded); it is stamped and chained as given instead of hashing
+// every regex again, so a wrong one writes a corpus that Decode and a
+// delta apply refuse.
+func EncodeTarget(base *DeltaBase, target []NCRecord, fp uint64) (*Encoded, error) {
+	return encodeTarget(base, target, fp, true)
+}
+
+func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) (*Encoded, error) {
+	full, err := marshal(target, fp, attested)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +254,7 @@ func EncodeDelta(w io.Writer, base, target []NCRecord) error {
 	if err != nil {
 		return fmt.Errorf("corpusbin: encode delta: %w", err)
 	}
-	enc, err := EncodeTarget(b, target)
+	enc, err := encodeTarget(b, target, 0, false)
 	if err != nil {
 		return fmt.Errorf("corpusbin: encode delta: target: %w", err)
 	}
@@ -294,19 +274,36 @@ func EncodeDelta(w io.Writer, base, target []NCRecord) error {
 // (ErrDeltaResultMismatch otherwise). No input can make ApplyDelta
 // panic (FuzzHBDDecode enforces this).
 func ApplyDelta(base []NCRecord, delta []byte) ([]byte, error) {
-	full, _, _, err := ApplyDeltaRecords(base, delta)
-	return full, err
+	p, err := ApplyDeltaRecords(base, delta)
+	if err != nil {
+		return nil, err
+	}
+	return p.Full, nil
 }
 
-// ApplyDeltaRecords is ApplyDelta exposing the patch's provenance: the
-// target records in order, and for each an engine deserialized from its
-// inline programs when the record was inserted by the delta — nil for
-// copies, whose NCRecord (and NC pointer) is base's own, so a caller
-// holding compiled state for the base can reuse it instead of decoding
-// the full result. This is what makes applying a small delta cheaper
-// than a full corpus reload: only the inserted records pay program
-// deserialization and engine construction.
-func ApplyDeltaRecords(base []NCRecord, delta []byte) ([]byte, []NCRecord, []*match.Engine, error) {
+// Patched is a delta applied, with its provenance.
+type Patched struct {
+	// Full is the complete target corpus in HBC form.
+	Full []byte
+	// Records are the target records in order. A copied record is
+	// base's own NCRecord, NC pointer included.
+	Records []NCRecord
+	// Engines holds, aligned with Records, the engine deserialized
+	// from an inserted record's inline programs, and nil for a copy.
+	Engines []*match.Engine
+	// Fingerprint is the target's core.FingerprintNCs over Records'
+	// NCs, in order: the chain's target, verified against the patched
+	// records.
+	Fingerprint uint64
+}
+
+// ApplyDeltaRecords is ApplyDelta exposing the patch's provenance (see
+// Patched): a caller holding compiled state for the base can reuse it
+// for every copied record instead of decoding the full result. This is
+// what makes applying a small delta cheaper than a full corpus reload:
+// only the inserted records pay program deserialization and engine
+// construction.
+func ApplyDeltaRecords(base []NCRecord, delta []byte) (*Patched, error) {
 	return applyDelta(base, 0, false, delta)
 }
 
@@ -318,19 +315,19 @@ func ApplyDeltaRecords(base []NCRecord, delta []byte) ([]byte, []NCRecord, []*ma
 // fingerprint that was not computed over base voids the base-mismatch
 // guarantee; the target-side checks (chain fingerprint and full-file
 // checksum) still hold regardless.
-func ApplyDeltaRecordsFP(base []NCRecord, baseFP uint64, delta []byte) ([]byte, []NCRecord, []*match.Engine, error) {
+func ApplyDeltaRecordsFP(base []NCRecord, baseFP uint64, delta []byte) (*Patched, error) {
 	return applyDelta(base, baseFP, true, delta)
 }
 
-func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte) ([]byte, []NCRecord, []*match.Engine, error) {
+func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte) (*Patched, error) {
 	if len(delta) > maxSectionBytes+deltaHeaderLen {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: input exceeds %d-byte cap", maxSectionBytes)
+		return nil, fmt.Errorf("corpusbin: apply delta: input exceeds %d-byte cap", maxSectionBytes)
 	}
 	if !IsHBD(delta) || len(delta) < deltaHeaderLen {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: not an HBD delta (missing magic)")
+		return nil, fmt.Errorf("corpusbin: apply delta: not an HBD delta (missing magic)")
 	}
 	if delta[3] != DeltaMagic[3] {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: unsupported HBD version %d (this build reads %d)", delta[3], DeltaMagic[3])
+		return nil, fmt.Errorf("corpusbin: apply delta: unsupported HBD version %d (this build reads %d)", delta[3], DeltaMagic[3])
 	}
 	baseFP := binary.LittleEndian.Uint64(delta[4:])
 	targetFP := binary.LittleEndian.Uint64(delta[12:])
@@ -338,7 +335,7 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 	wantSum := binary.LittleEndian.Uint64(delta[28:])
 	payload := delta[deltaHeaderLen:]
 	if got := checksum(payload); got != wantSum {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: payload checksum mismatch (corrupt delta): got %016x want %016x", got, wantSum)
+		return nil, fmt.Errorf("corpusbin: apply delta: payload checksum mismatch (corrupt delta): got %016x want %016x", got, wantSum)
 	}
 
 	got := attestedFP
@@ -346,80 +343,80 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 		baseNCs := make([]*core.NC, len(base))
 		for i, rec := range base {
 			if rec.NC == nil || rec.NC.Suffix == "" {
-				return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: base record %d has no suffix", i)
+				return nil, fmt.Errorf("corpusbin: apply delta: base record %d has no suffix", i)
 			}
 			baseNCs[i] = rec.NC
 		}
 		got = core.FingerprintNCs(baseNCs)
 	}
 	if got != baseFP {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w: have %016x, delta chains %016x → %016x", ErrDeltaBaseMismatch, got, baseFP, targetFP)
+		return nil, fmt.Errorf("corpusbin: apply delta: %w: have %016x, delta chains %016x → %016x", ErrDeltaBaseMismatch, got, baseFP, targetFP)
 	}
 	if err := faultinject.Fire(context.Background(), faultinject.StageCorpusbinDelta, fmt.Sprintf("%016x", targetFP)); err != nil {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta %016x: %w", targetFP, err)
+		return nil, fmt.Errorf("corpusbin: apply delta %016x: %w", targetFP, err)
 	}
 
 	d := &decoder{data: payload}
 	table, err := d.strTable()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	baseCount, err := d.uvarint("base count")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if baseCount != uint64(len(base)) {
-		return nil, nil, nil, d.errf("delta expects %d base records, corpus has %d", baseCount, len(base))
+		return nil, d.errf("delta expects %d base records, corpus has %d", baseCount, len(base))
 	}
 	nOps, err := d.count("delta op list", 2, 256)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	out := make([]NCRecord, 0, nOps)
 	engines := make([]*match.Engine, 0, nOps)
 	for i := 0; i < nOps; i++ {
 		head, err := d.byteVal("delta op head")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		switch head {
 		case deltaOpCopy:
 			idx, err := d.uvarint("copy index")
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			if idx >= uint64(len(base)) {
-				return nil, nil, nil, d.errf("copy index %d out of range (base has %d)", idx, len(base))
+				return nil, d.errf("copy index %d out of range (base has %d)", idx, len(base))
 			}
 			out = append(out, base[idx])
 			engines = append(engines, nil)
 		case deltaOpInsert:
 			rec, eng, err := d.decodeNC(table)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: op %d: %w", i, err)
+				return nil, fmt.Errorf("corpusbin: apply delta: op %d: %w", i, err)
 			}
 			out = append(out, rec)
 			engines = append(engines, eng)
 		default:
-			return nil, nil, nil, d.errf("unknown delta op kind %d", head)
+			return nil, d.errf("unknown delta op kind %d", head)
 		}
 	}
 	if d.remaining() != 0 {
-		return nil, nil, nil, d.errf("%d trailing bytes after last op", d.remaining())
+		return nil, d.errf("%d trailing bytes after last op", d.remaining())
 	}
 
-	full, err := marshal(out)
+	full, err := marshal(out, 0, false)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w", err)
+		return nil, fmt.Errorf("corpusbin: apply delta: %w", err)
 	}
 	// marshal stamped the patched corpus's fingerprint into the HBC
 	// header; checking it there verifies the chain's target without a
 	// second hash over every record.
 	if got := binary.LittleEndian.Uint64(full[4:]); got != targetFP {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus fingerprint %016x, chain target %016x", ErrDeltaResultMismatch, got, targetFP)
+		return nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus fingerprint %016x, chain target %016x", ErrDeltaResultMismatch, got, targetFP)
 	}
 	if got := checksum(full); got != wantFileSum {
-		return nil, nil, nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus bytes diverge from a full encode of the target (sum %016x, want %016x)", ErrDeltaResultMismatch, got, wantFileSum)
+		return nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus bytes diverge from a full encode of the target (sum %016x, want %016x)", ErrDeltaResultMismatch, got, wantFileSum)
 	}
-	return full, out, engines, nil
+	return &Patched{Full: full, Records: out, Engines: engines, Fingerprint: targetFP}, nil
 }

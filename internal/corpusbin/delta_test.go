@@ -57,6 +57,15 @@ func mutatedNCs(t testing.TB) []*core.NC {
 	return out
 }
 
+// deltaChain is the fingerprint pair a delta patches between.
+type deltaChain struct{ Base, Target uint64 }
+
+// chainOf reads the chain from an HBD header: the base fingerprint at
+// byte 4, the target's at byte 12.
+func chainOf(delta []byte) deltaChain {
+	return deltaChain{Base: binary.LittleEndian.Uint64(delta[4:]), Target: binary.LittleEndian.Uint64(delta[12:])}
+}
+
 func encodeDelta(t testing.TB, base, target []NCRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -84,10 +93,7 @@ func TestDeltaRoundTripByteIdentity(t *testing.T) {
 		t.Fatalf("patched corpus differs from a full encode: %d vs %d bytes", len(got), len(want))
 	}
 	// The chain must name both endpoints.
-	chain, err := PeekDeltaChain(delta)
-	if err != nil {
-		t.Fatalf("peek chain: %v", err)
-	}
+	chain := chainOf(delta)
 	if chain.Base != core.FingerprintNCs(testNCs(t)) || chain.Target != core.FingerprintNCs(targetNCs) {
 		t.Fatalf("chain %016x → %016x does not match the endpoint fingerprints", chain.Base, chain.Target)
 	}
@@ -267,33 +273,10 @@ func TestDeltaRejectsWrongVersionAndOversized(t *testing.T) {
 	if _, err := ApplyDelta(base, bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version: %v", err)
 	}
-	if _, err := PeekDeltaChain(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("peek wrong version: %v", err)
-	}
 	huge := make([]byte, maxSectionBytes+deltaHeaderLen+1)
 	copy(huge, DeltaMagic[:])
 	if _, err := ApplyDelta(base, huge); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized input: %v", err)
-	}
-}
-
-func TestPeekDeltaChainFailsClosed(t *testing.T) {
-	base := testRecords(t, testNCs(t))
-	delta := encodeDelta(t, base, testRecords(t, mutatedNCs(t)))
-	if _, err := PeekDeltaChain(nil); err == nil {
-		t.Error("peek of empty input must fail")
-	}
-	if _, err := PeekDeltaChain(delta[:deltaHeaderLen-1]); err == nil {
-		t.Error("peek of a truncated header must fail")
-	}
-	// An HBC corpus is not a delta.
-	if _, err := PeekDeltaChain(encodeCorpus(t, testNCs(t))); err == nil {
-		t.Error("peek of an HBC corpus must fail")
-	}
-	bad := append([]byte(nil), delta...)
-	bad[len(bad)-1] ^= 0x01
-	if _, err := PeekDeltaChain(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("peek of corrupt payload = %v, want a checksum error", err)
 	}
 }
 
@@ -372,10 +355,7 @@ func FuzzHBDDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		chain, err := PeekDeltaChain(data)
-		if err != nil {
-			t.Fatalf("applied a delta whose chain cannot be peeked: %v", err)
-		}
+		chain := chainOf(data)
 		dec, err := Decode(out)
 		if err != nil {
 			t.Fatalf("accepted delta produced an undecodable corpus: %v", err)

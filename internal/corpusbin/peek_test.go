@@ -7,8 +7,6 @@ package corpusbin
 // corrupt, truncated, or mislabeled.
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -78,56 +76,6 @@ func TestPeekFingerprintHeaderEdgeCases(t *testing.T) {
 	for n := 0; n < headerLen; n++ {
 		if _, err := PeekFingerprint(data[:n]); err == nil {
 			t.Fatalf("peek of %d-byte header prefix succeeded", n)
-		}
-	}
-}
-
-// TestPeekFingerprintFile pins the file-level contract: every failure —
-// missing file, empty file, truncated header, corrupt payload — names
-// the offending path, and a healthy file agrees with Decode.
-func TestPeekFingerprintFile(t *testing.T) {
-	dir := t.TempDir()
-	data := encodeCorpus(t, testNCs(t))
-
-	good := filepath.Join(dir, "good.hbc")
-	if err := os.WriteFile(good, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := PeekFingerprintFile(good)
-	if err != nil {
-		t.Fatalf("peek of healthy file: %v", err)
-	}
-	if dec, err := Decode(data); err != nil || dec.Fingerprint != fp {
-		t.Fatalf("file peek %016x disagrees with decode (%v)", fp, err)
-	}
-
-	cases := []struct {
-		name  string
-		bytes []byte // nil means do not create the file
-	}{
-		{"missing.hbc", nil},
-		{"empty.hbc", []byte{}},
-		{"truncated.hbc", data[:headerLen-3]},
-		{"corrupt.hbc", func() []byte {
-			b := append([]byte(nil), data...)
-			b[len(b)-1] ^= 0x01
-			return b
-		}()},
-	}
-	for _, tc := range cases {
-		path := filepath.Join(dir, tc.name)
-		if tc.bytes != nil {
-			if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, err := PeekFingerprintFile(path)
-		if err == nil {
-			t.Errorf("%s: peek succeeded on a broken file", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.name) {
-			t.Errorf("%s: error %q does not name the path", tc.name, err)
 		}
 	}
 }

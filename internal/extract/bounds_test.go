@@ -17,6 +17,7 @@ import (
 	"hoiho/internal/core"
 	"hoiho/internal/experiments"
 	"hoiho/internal/extract"
+	"hoiho/internal/rex"
 )
 
 // TestBoundExtractAllocs: after Precompile, Corpus.Extract allocates
@@ -191,6 +192,88 @@ func TestBoundDeltaApplySpeedup(t *testing.T) {
 	t.Logf("full reload %v, delta apply %v (%.2fx)", reloadOp, applyOp, speedup)
 	if speedup < deltaApplyMinSpeedup {
 		t.Errorf("delta apply %v vs full reload %v: %.2fx faster, want >= %.1fx", applyOp, reloadOp, speedup, deltaApplyMinSpeedup)
+	}
+}
+
+// rolloutCorpora is the rollout benchmark's shape: n conventions, and
+// a copy in which changed of them, evenly spaced, match nothing.
+func rolloutCorpora(n, changed int) (base, target []*core.NC) {
+	base, _ = experiments.CorpusWorkload(n, 0)
+	target = slices.Clone(base)
+	for i := 0; i < changed; i++ {
+		j := i * (n / changed)
+		nc := *target[j]
+		nc.Regexes = []*rex.Regex{rex.MustNew(rex.Lit("xs"), rex.Capture(), rex.Lit("-"), rex.Excl("."), rex.Lit("."+nc.Suffix))}
+		target[j] = &nc
+	}
+	return base, target
+}
+
+// chainedDeltas returns a node's corpus as it boots, loaded from the
+// HBC of rolloutCorpora(4096, 32)'s base, and the deltas that patch it
+// to the target and back.
+func chainedDeltas(t testing.TB) (a *extract.Corpus, ab, ba []byte) {
+	t.Helper()
+	baseNCs, targetNCs := rolloutCorpora(4096, 32)
+	var hbc, d1, d2 bytes.Buffer
+	if err := extract.New(baseNCs).SaveBinary(&hbc); err != nil {
+		t.Fatal(err)
+	}
+	a, err := extract.Load(&hbc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := extract.New(targetNCs)
+	if err := extract.Diff(a, b, &d1); err != nil {
+		t.Fatal(err)
+	}
+	if err := extract.Diff(b, a, &d2); err != nil {
+		t.Fatal(err)
+	}
+	return a, d1.Bytes(), d2.Bytes()
+}
+
+// applyChained is two rollout epochs on a node: ab applied to c, then
+// ba applied to the corpus the first apply built.
+func applyChained(t testing.TB, c *extract.Corpus, ab, ba []byte) *extract.Corpus {
+	t.Helper()
+	for _, d := range [][]byte{ab, ba} {
+		var err error
+		if c, _, err = extract.ApplyDelta(c, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// chainedApplyMaxAllocs caps two chained applies of the 32-of-4096
+// rollout delta, each to the corpus the previous apply built. Measured
+// 9,269 (9,270 under -race). Before applies adopted the verified
+// records and fingerprint they build a corpus from, the same two
+// applies took 25,715: every base re-serialized all its engines.
+const chainedApplyMaxAllocs = 10_000
+
+// TestBoundChainedApplyAllocs: a delta applied to a corpus ApplyDelta
+// itself built costs no more than one applied to a freshly loaded
+// corpus — nothing verified by the previous apply is rebuilt.
+func TestBoundChainedApplyAllocs(t *testing.T) {
+	c, ab, ba := chainedDeltas(t)
+	allocs := testing.AllocsPerRun(5, func() { c = applyChained(t, c, ab, ba) })
+	t.Logf("two chained applies: %v allocs", allocs)
+	if allocs > chainedApplyMaxAllocs {
+		t.Errorf("two chained applies = %v allocs/op, want <= %d", allocs, chainedApplyMaxAllocs)
+	}
+}
+
+// BenchmarkApplyDeltaChained times two chained rollout epochs on a
+// node: the 32-of-4096 delta applied to the corpus the previous apply
+// built, and back.
+func BenchmarkApplyDeltaChained(b *testing.B) {
+	c, ab, ba := chainedDeltas(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c = applyChained(b, c, ab, ba)
 	}
 }
 

@@ -3,9 +3,11 @@ package extract
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"hoiho/internal/core"
 	"hoiho/internal/corpusbin"
+	"hoiho/internal/match"
 )
 
 // binaryRecords builds the corpus's retained NCs in corpusbin record
@@ -52,39 +54,62 @@ func Diff(old, new *Corpus, w io.Writer) error {
 // records the delta actually changed pay program deserialization and
 // engine construction. Applying a small delta is therefore cheaper than
 // reloading the full target corpus, even though the full bytes are
-// produced (and checksum-verified against the chain) either way.
-//
-//hoiho:ctxflow bounded one-shot pass over the patched corpus's records re-arming engines, milliseconds even for full-scale corpora; not a streaming pipeline
+// produced (and checksum-verified against the chain) either way. The
+// patched records, and the target fingerprint the chain verified, are
+// adopted as they are (see fromVerified), so a corpus built here is as
+// cheap a base for the next delta as base was for this one.
 func ApplyDelta(base *Corpus, delta []byte, opts ...Option) (*Corpus, []byte, error) {
+	c, full, _, err := ApplyDeltaStats(base, delta, opts...)
+	return c, full, err
+}
+
+// DeltaStats describes one delta apply: how the patched corpus was
+// assembled, and where its time went.
+type DeltaStats struct {
+	// Copied and Inserted count the target's records taken from base
+	// and decoded from the delta.
+	Copied, Inserted int
+	// Apply is everything up to the verified records: base's record
+	// form if it was not yet memoized, then corpusbin's checksums,
+	// chain check, decoding of the inserted records, and re-encoding and
+	// checking of the target. Index is building the corpus from them.
+	Apply, Index time.Duration
+}
+
+// ApplyDeltaStats is ApplyDelta reporting DeltaStats as well.
+func ApplyDeltaStats(base *Corpus, delta []byte, opts ...Option) (*Corpus, []byte, DeltaStats, error) {
+	var st DeltaStats
+	start := time.Now()
 	// base.fp is core.FingerprintNCs over the same NCs binaryRecords
 	// carries, memoized at corpus build; attesting it skips one full
 	// hash pass over the base without weakening the chain check.
-	full, recs, engines, err := corpusbin.ApplyDeltaRecordsFP(base.binaryRecords(), base.fp, delta)
+	p, err := corpusbin.ApplyDeltaRecordsFP(base.binaryRecords(), base.fp, delta)
 	if err != nil {
-		return nil, nil, fmt.Errorf("extract: apply delta: %w", err)
+		return nil, nil, st, fmt.Errorf("extract: apply delta: %w", err)
 	}
-	ncs := make([]*core.NC, len(recs))
-	for i, rec := range recs {
+	if len(p.Records) == 0 {
+		return nil, nil, st, fmt.Errorf("extract: apply delta: corpus contains no conventions")
+	}
+	for _, eng := range p.Engines {
+		if eng == nil {
+			st.Copied++
+		}
+	}
+	st.Inserted = len(p.Records) - st.Copied
+	st.Apply = time.Since(start)
+	start = time.Now()
+	ncs := make([]*core.NC, len(p.Records))
+	for i, rec := range p.Records {
 		ncs[i] = rec.NC
 	}
-	if len(ncs) == 0 {
-		return nil, nil, fmt.Errorf("extract: apply delta: corpus contains no conventions")
-	}
-	c := New(ncs, opts...)
-	for i, nc := range ncs {
-		e, ok := c.entries[nc.Suffix]
-		if !ok || e.nc != nc {
-			continue // filtered out, or superseded by a later duplicate
+	c := fromVerified(ncs, p.Records, p.Fingerprint, func(i int) *match.Engine {
+		if eng := p.Engines[i]; eng != nil {
+			return eng
 		}
-		eng := engines[i]
-		if eng == nil {
-			// A copied record: base's compiled engine is the engine
-			// for these exact programs.
-			eng = base.compiledEngine(nc)
-		}
-		// Single-threaded: the corpus is not shared until we return.
-		e.eng = eng
-	}
-	c.Precompile()
-	return c, full, nil
+		// A copied record: base's compiled engine is the engine for
+		// these exact programs.
+		return base.compiledEngine(ncs[i])
+	}, opts)
+	st.Index = time.Since(start)
+	return c, p.Full, st, nil
 }

@@ -74,6 +74,36 @@ func TestDiffApplyByteIdentity(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaStats: the stats count the target's records by where
+// they came from, and time both steps.
+func TestApplyDeltaStats(t *testing.T) {
+	pool := syntheticNCs(t, 49)
+	target := make([]*core.NC, 0, 47)
+	for i, nc := range pool[:48] {
+		switch {
+		case i == 5 || i == 9: // removed
+			continue
+		case i%16 == 2: // replaced: same suffix, different eval
+			cp := *nc
+			cp.Eval.FN++
+			nc = &cp
+		}
+		target = append(target, nc)
+	}
+	target = append(target, pool[48]) // added
+	base := New(pool[:48])
+	applied, _, st, err := ApplyDeltaStats(base, deltaBytes(t, base, New(target)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Copied != 43 || st.Inserted != 4 || applied.Len() != 47 {
+		t.Errorf("copied %d, inserted %d of %d records; want 43 and 4 of 47", st.Copied, st.Inserted, applied.Len())
+	}
+	if st.Apply <= 0 || st.Index <= 0 {
+		t.Errorf("apply %v, index %v: want both timed", st.Apply, st.Index)
+	}
+}
+
 // TestApplyDeltaBaseMismatch: a patch diffed from another corpus is
 // refused with the typed sentinel, and the base keeps serving.
 func TestApplyDeltaBaseMismatch(t *testing.T) {

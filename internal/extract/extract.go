@@ -18,6 +18,7 @@ package extract
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -152,22 +153,39 @@ func UsableOnly() Option { return MinClass(core.Promising) }
 // per-consumer indexes. Compilation is lazy: a suffix's engine is built
 // on its first lookup, once; Load precompiles eagerly.
 func New(ncs []*core.NC, opts ...Option) *Corpus {
-	c := &Corpus{entries: make(map[string]*entry, len(ncs))}
+	c, _ := index(ncs, opts)
+	c.fp = c.fingerprint()
+	return c
+}
+
+// index builds everything New does but the fingerprint. whole reports
+// that the corpus retained every NC of ncs in their order — none nil,
+// filtered or superseded, and ncs already strictly suffix-sorted — so
+// c.ncs equals ncs element for element and any fact verified over ncs
+// holds for the corpus.
+func index(ncs []*core.NC, opts []Option) (c *Corpus, whole bool) {
+	c = &Corpus{entries: make(map[string]*entry, len(ncs))}
 	for _, o := range opts {
 		o(c)
 	}
 	if c.list == nil {
 		c.list = psl.Default()
 	}
+	// The retained NCs, in input order, each at its suffix's first
+	// position until a duplicate moves the winner in below.
+	c.ncs = make([]*core.NC, 0, len(ncs))
+	dup := false
 	for _, nc := range ncs {
 		if nc == nil || nc.Class < c.minClass {
 			continue
 		}
 		if e, ok := c.entries[nc.Suffix]; ok {
 			e.nc = nc // last NC for a suffix wins
+			dup = true
 			continue
 		}
 		c.entries[nc.Suffix] = &entry{nc: nc}
+		c.ncs = append(c.ncs, nc)
 		if n := strings.Count(nc.Suffix, ".") + 1; n > c.maxLabels {
 			c.maxLabels = n
 		}
@@ -175,29 +193,37 @@ func New(ncs []*core.NC, opts ...Option) *Corpus {
 			c.lenMask |= 1 << uint(n)
 		}
 	}
+	if dup {
+		for i, nc := range c.ncs {
+			c.ncs[i] = c.entries[nc.Suffix].nc
+		}
+	}
+	// Suffixes are unique here, so sorted means strictly sorted; every
+	// encoder writes suffix order, so the sort is rarely needed.
+	sorted := slices.IsSortedFunc(c.ncs, cmpSuffix)
+	if !sorted {
+		slices.SortFunc(c.ncs, cmpSuffix)
+	}
 	c.pslDirect = true
-	c.ncs = make([]*core.NC, 0, len(c.entries))
-	for suffix, e := range c.entries {
-		c.ncs = append(c.ncs, e.nc)
-		if reg, ok := c.list.RegisteredDomain(suffix); !ok || reg != suffix {
+	for _, nc := range c.ncs {
+		if reg, ok := c.list.RegisteredDomain(nc.Suffix); !ok || reg != nc.Suffix {
 			c.pslDirect = false
 		}
 	}
 	c.safeDirect = c.pslDirect
 	if c.safeDirect {
-		for suffix := range c.entries {
-			if c.list.HasRuleBeneath(suffix) {
+		for _, nc := range c.ncs {
+			if c.list.HasRuleBeneath(nc.Suffix) {
 				c.safeDirect = false
 				break
 			}
 		}
 	}
-	sort.Slice(c.ncs, func(i, j int) bool { return c.ncs[i].Suffix < c.ncs[j].Suffix })
 	seenLen := make(map[int]bool)
-	for suffix := range c.entries {
-		if !seenLen[len(suffix)] {
-			seenLen[len(suffix)] = true
-			c.probeLens = append(c.probeLens, len(suffix))
+	for _, nc := range c.ncs {
+		if n := len(nc.Suffix); !seenLen[n] {
+			seenLen[n] = true
+			c.probeLens = append(c.probeLens, n)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(c.probeLens)))
@@ -205,7 +231,45 @@ func New(ncs []*core.NC, opts ...Option) *Corpus {
 		c.maxProbeLen = c.probeLens[0]
 	}
 	c.table = newSuffixTable(c.entries)
-	c.fp = c.fingerprint()
+	return c, !dup && sorted && len(c.ncs) == len(ncs)
+}
+
+func cmpSuffix(a, b *core.NC) int { return strings.Compare(a.Suffix, b.Suffix) }
+
+// fromVerified builds the corpus Load and ApplyDelta return from
+// conventions whose content has just been verified — by
+// corpusbin.Decode (payload checksum, header fingerprint, every engine
+// through EngineFromWire) or by a delta apply (chain fingerprints,
+// target file sum). fp is the verified core.FingerprintNCs of ncs in
+// their order, and engine(i) returns ncs[i]'s compiled engine; it is
+// called only for retained conventions. recs, when non-nil, are ncs'
+// verified records (recs[i].NC == ncs[i]). When opts keep every
+// convention in order, the corpus adopts fp, and recs as its
+// binaryRecords memo, instead of hashing and re-serializing what was
+// just checked; otherwise both are computed as New and SaveBinary
+// would. Every engine is armed, so the corpus is ready to serve.
+func fromVerified(ncs []*core.NC, recs []corpusbin.NCRecord, fp uint64, engine func(i int) *match.Engine, opts []Option) *Corpus {
+	c, whole := index(ncs, opts)
+	if whole {
+		c.fp = fp
+		if recs != nil {
+			c.binOnce.Do(func() { c.binRecs = recs })
+		}
+	} else {
+		c.fp = c.fingerprint()
+	}
+	for i, nc := range ncs {
+		e, ok := c.entries[nc.Suffix]
+		if !ok || e.nc != nc {
+			continue // filtered out, or superseded by a later duplicate
+		}
+		// Single-threaded: the corpus is not shared until it is
+		// returned. A nil engine is left for Precompile to build.
+		e.eng = engine(i)
+	}
+	// Every engine is armed; Precompile compiles nothing and only
+	// publishes the ready flag.
+	c.Precompile()
 	return c
 }
 

@@ -21,7 +21,9 @@ const maxLoadBytes = 64 << 20
 // straight to ready-to-serve state, each pre-armed with its compiled
 // match programs, so a loaded corpus never parses a regex or compiles
 // a matcher. Options apply as in New, so a loaded corpus can be
-// filtered at load time, e.g. Load(r, UsableOnly()).
+// filtered at load time, e.g. Load(r, UsableOnly()). A corpus that
+// keeps every decoded record, in order, adopts the fingerprint Decode
+// verified instead of hashing its regexes again (fromVerified).
 //
 // HBC is the one loadable format. The JSON form (`hoiho -json`, Save)
 // is for people to read and is refused here, as is any other input
@@ -47,19 +49,10 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	if len(dec.NCs) == 0 {
 		return nil, fmt.Errorf("extract: load: corpus contains no conventions")
 	}
-	c := New(dec.NCs, opts...)
-	for i, nc := range dec.NCs {
-		e, ok := c.entries[nc.Suffix]
-		if !ok || e.nc != nc || dec.Engines[i] == nil {
-			continue // filtered out, or superseded by a later duplicate
-		}
-		// Single-threaded: the corpus is not shared until Load returns.
-		e.eng = dec.Engines[i]
-	}
-	// Every engine is armed; Precompile compiles nothing and only
-	// publishes the ready flag.
-	c.Precompile()
-	return c, nil
+	// The decoded records are not adopted: a corpus that is only ever
+	// served would carry their wire programs for nothing. The first
+	// delta applied to it builds its record form once.
+	return fromVerified(dec.NCs, nil, dec.Fingerprint, func(i int) *match.Engine { return dec.Engines[i] }, opts), nil
 }
 
 // LoadFile loads an HBC corpus from disk.

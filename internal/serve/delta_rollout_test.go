@@ -10,7 +10,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"log"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,6 +39,48 @@ func variantDelta(t testing.TB, from, to string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestPrepareLogsOneLine: every staged prepare logs one line naming its
+// epoch, whether it was a delta or a full corpus, where its time went
+// and, for a delta, how many records it copied and inserted.
+func TestPrepareLogsOneLine(t *testing.T) {
+	var logs bytes.Buffer
+	s, _ := newTestServer(t, func(c *Config) { c.Log = log.New(&logs, "", 0) })
+	h := s.Handler()
+	fpSecond := fingerprintOf(t, "second")
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=7", string(variantDelta(t, "first", "second"))); w.Code != 200 {
+		t.Fatalf("delta prepare = %d: %s", w.Code, w.Body.String())
+	}
+	doReq(t, h, "POST", "/-/rollout/abort", "")
+	if w := doReq(t, h, "POST", "/-/rollout/prepare?epoch=8", string(corpusHBC(t, "second"))); w.Code != 200 {
+		t.Fatalf("full prepare = %d: %s", w.Code, w.Body.String())
+	}
+	var lines []string
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if strings.HasPrefix(l, "rollout prepare:") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("%d prepare lines for 2 prepares:\n%s", len(lines), logs.String())
+	}
+	n := variantCorpus(t, "second").Len()
+	delta := regexp.MustCompile(`^rollout prepare: epoch 7 delta, apply \S+, index \S+, (\d+) records copied, (\d+) inserted; corpus ` + fpSecond + ` staged over generation 1$`)
+	m := delta.FindStringSubmatch(lines[0])
+	if m == nil {
+		t.Fatalf("delta prepare line %q", lines[0])
+	}
+	copied, _ := strconv.Atoi(m[1])
+	inserted, _ := strconv.Atoi(m[2])
+	// The two variants share no record.
+	if copied != 0 || inserted != n {
+		t.Errorf("delta prepare copied %d and inserted %d records, want 0 and %d", copied, inserted, n)
+	}
+	full := regexp.MustCompile(`^rollout prepare: epoch 8 full, load \S+, ` + strconv.Itoa(n) + ` records; corpus ` + fpSecond + ` staged over generation 1$`)
+	if !full.MatchString(lines[1]) {
+		t.Errorf("full prepare line %q", lines[1])
+	}
 }
 
 func TestPrepareDeltaCommits(t *testing.T) {

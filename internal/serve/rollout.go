@@ -63,34 +63,50 @@ type preparedCorpus struct {
 // the coordinator turns into a full-corpus resend for this node. The
 // running corpus is untouched in every failure mode. It returns the
 // prepared fingerprint and the serving generation the prepared corpus
-// would supersede.
+// would supersede, and logs one line per staged corpus: the epoch,
+// delta or full, where the time went and how many records were copied
+// and inserted.
 func (s *Server) PrepareCorpus(data []byte, epoch uint64) (fp string, gen uint64, err error) {
 	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
+	fp, gen, how, err := s.prepareLocked(data, epoch)
+	s.reloadMu.Unlock()
+	if err == nil {
+		s.logf("rollout prepare: epoch %d %s; corpus %s staged over generation %d", epoch, how, fp, gen)
+	}
+	return fp, gen, err
+}
+
+// prepareLocked is PrepareCorpus's work under reloadMu; how details the
+// prepare for its log line.
+func (s *Server) prepareLocked(data []byte, epoch uint64) (fp string, gen uint64, how string, err error) {
 	var corpus *extract.Corpus
 	if corpusbin.IsHBD(data) {
 		snap := s.state.Load()
 		if snap == nil {
 			err := fmt.Errorf("%w: no corpus loaded to patch", ErrBaseMismatch)
 			s.noteRolloutLocked(epoch, "", "failed", err)
-			return "", 0, err
+			return "", 0, "", err
 		}
-		applied, full, aerr := extract.ApplyDelta(snap.corpus, data, s.corpusOpts...)
+		applied, full, st, aerr := extract.ApplyDeltaStats(snap.corpus, data, s.corpusOpts...)
 		if aerr != nil {
 			if errors.Is(aerr, corpusbin.ErrDeltaBaseMismatch) {
 				err := fmt.Errorf("%w: %w", ErrBaseMismatch, aerr)
 				s.noteRolloutLocked(epoch, "", "failed", err)
-				return "", 0, err
+				return "", 0, "", err
 			}
 			s.noteRolloutLocked(epoch, "", "failed", aerr)
-			return "", 0, s.rejectLocked("(rollout delta)", aerr)
+			return "", 0, "", s.rejectLocked("(rollout delta)", aerr)
 		}
 		corpus, data = applied, full
+		how = fmt.Sprintf("delta, apply %v, index %v, %d records copied, %d inserted",
+			st.Apply.Round(time.Microsecond), st.Index.Round(time.Microsecond), st.Copied, st.Inserted)
 	} else {
+		start := time.Now()
 		if corpus, err = s.loadLocked(data, "(rollout prepare)"); err != nil {
 			s.noteRolloutLocked(epoch, "", "failed", err)
-			return "", 0, err
+			return "", 0, "", err
 		}
+		how = fmt.Sprintf("full, load %v, %d records", time.Since(start).Round(time.Microsecond), corpus.Len())
 		data = append([]byte(nil), data...)
 	}
 	gen = s.generation.Load()
@@ -102,7 +118,7 @@ func (s *Server) PrepareCorpus(data []byte, epoch uint64) (fp string, gen uint64
 		epoch:  epoch,
 	}
 	s.stats.prepares.Add(1)
-	return corpus.FingerprintString(), gen, nil
+	return corpus.FingerprintString(), gen, how, nil
 }
 
 // ValidatePrepared acks the side buffer: the prepared fingerprint and
@@ -247,7 +263,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	s.logf("rollout prepare: corpus %s staged over generation %d", fp, gen)
 	s.ackPrepared(w, fp, gen)
 }
 
