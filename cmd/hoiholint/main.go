@@ -1,14 +1,13 @@
 // Command hoiholint runs hoiho's project-specific static analyzers over
 // the whole module. The pass is typed and interprocedural: it builds a
 // call graph with go/types (method values, interface dispatch, and
-// closures resolved) and runs nine analyzers over it — determinism of
-// map iteration (detmap), RNG seeding discipline (rngseed),
-// WaitGroup and close discipline in goroutines (wghygiene), panic
-// policy (panicguard), the cancellation contract on exported pipeline
-// entry points (ctxflow), the zero-alloc hot-path proof (hotalloc),
-// lock-order and atomic-mixing discipline (lockorder), error
-// qualification and %w wrapping (errwrap), and goroutine send
-// cancellation arms (gororeturn). A
+// closures resolved) and runs eight analyzers over it — determinism of
+// map iteration (detmap), WaitGroup and close discipline in goroutines
+// (wghygiene), panic policy (panicguard), the cancellation contract on
+// exported pipeline entry points (ctxflow), the zero-alloc hot-path
+// proof (hotalloc), lock order (lockorder), error qualification and %w
+// wrapping (errwrap), and goroutine send cancellation arms
+// (gororeturn). A
 // zero-alloc root that no longer resolves is a finding too (check
 // "roots"). See internal/analysis for the rules and the //hoiho:<verb>
 // annotation grammar, and DESIGN.md §14 for which other check covers

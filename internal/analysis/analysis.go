@@ -13,8 +13,6 @@
 //   - detmap: in deterministic packages, range over a map must not leak
 //     iteration order into slices, strings, output, or channels unless
 //     the result is sorted afterward.
-//   - rngseed: only explicitly seeded *rand.Rand values; no global
-//     math/rand state, no time-derived seeds, no crypto/rand.
 //   - wghygiene: WaitGroup.Add runs before the go statement, and
 //     wg.Done and close of a shared channel inside a goroutine are
 //     deferred.
@@ -28,9 +26,7 @@
 //     conversion, composite literals, interface boxing, closure
 //     creation, fmt calls) may be reachable from the zero-alloc
 //     extraction roots unless budgeted with //hoiho:hotalloc.
-//   - lockorder: mutexes must be acquired in one consistent order, and
-//     a field accessed through sync/atomic must never also be accessed
-//     plainly.
+//   - lockorder: mutexes must be acquired in one consistent order.
 //   - errwrap: fmt.Errorf in the serving/codec packages must qualify
 //     errors with the package path and wrap error operands with %w.
 //   - gororeturn: a channel send inside a goroutine must sit in a
@@ -78,15 +74,15 @@ type Analyzer struct {
 
 // Analyzers returns the full pass in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{detmap, rngseed, wghygiene, panicguard, ctxflow, hotalloc, lockorder, errwrap, gororeturn}
+	return []*Analyzer{detmap, wghygiene, panicguard, ctxflow, hotalloc, lockorder, errwrap, gororeturn}
 }
 
 // Config scopes the analyzers to the project's packages. The zero value
 // checks nothing; Default returns hoiho's configuration.
 type Config struct {
 	// DetPkgs are the import paths under determinism discipline: detmap
-	// and rngseed apply only here. Training, synthesis, and figure output
-	// must be bit-for-bit reproducible across runs and Go runtimes.
+	// applies only here. Training, synthesis, and figure output must be
+	// bit-for-bit reproducible across runs and Go runtimes.
 	DetPkgs []string
 	// PanicPkgs are the import paths where panicguard applies: library
 	// packages whose callers expect errors, not crashes.
@@ -102,8 +98,7 @@ type Config struct {
 	// unless budgeted with //hoiho:hotalloc.
 	ZeroAllocRoots []string
 	// LockPkgs are the import paths under lock discipline: lockorder
-	// checks mutex acquisition order and atomic/non-atomic field mixing
-	// only here.
+	// checks mutex acquisition order only here.
 	LockPkgs []string
 	// ErrPkgs are the import paths under the error-taxonomy contract:
 	// errwrap requires fmt.Errorf calls here to be path-qualified and to

@@ -12,7 +12,7 @@ import (
 // testdata/src the way Default scopes them to hoiho's packages.
 func fixtureConfig() Config {
 	return Config{
-		DetPkgs:        []string{"fix/detmapfix", "fix/rngseedfix", "fix/annotfix"},
+		DetPkgs:        []string{"fix/detmapfix", "fix/annotfix"},
 		PanicPkgs:      []string{"fix/panicfix"},
 		CtxPkgs:        []string{"fix/ctxflowfix"},
 		ZeroAllocRoots: []string{"fix/hotallocfix.ServeHot"},
@@ -23,7 +23,7 @@ func fixtureConfig() Config {
 }
 
 var fixturePkgs = []string{
-	"detmapfix", "rngseedfix", "wgfix", "panicfix", "ctxflowfix",
+	"detmapfix", "wgfix", "panicfix", "ctxflowfix",
 	"hotallocfix", "lockorderfix", "errwrapfix", "gorofix", "annotfix",
 }
 

@@ -251,7 +251,7 @@ func isConst(info *types.Info, e ast.Expr) bool {
 	return ok && tv.Value != nil
 }
 
-// --- lock / atomic summaries -------------------------------------------
+// --- lock summaries -------------------------------------------
 
 // LockOp is one mutex operation in a function body, in source order.
 type LockOp struct {
@@ -375,122 +375,4 @@ func namedOf(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// AtomicAccess records how a struct field is touched: through
-// sync/atomic, or plainly.
-type AtomicAccess struct {
-	Key    string // "Type.field"
-	Pos    token.Pos
-	Atomic bool
-	Write  bool
-}
-
-// atomicSummary lists accesses to named-type fields that are either
-// passed by address to a sync/atomic function or read/written plainly.
-// Fields never touched by sync/atomic are omitted by the caller's join;
-// this summary just records both sides.
-func atomicSummary(pkg *Package, n *Node) []AtomicAccess {
-	body := n.Body()
-	if body == nil {
-		return nil
-	}
-	info := pkg.Info
-	var accs []AtomicAccess
-
-	// Field selectors consumed by &x.f arguments to sync/atomic calls.
-	atomicOperand := make(map[*ast.SelectorExpr]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok || !isPkgFunc(info, call, "sync/atomic") {
-			return true
-		}
-		for _, a := range call.Args {
-			if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND {
-				if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-					if key, ok := fieldKey(pkg, sel); ok {
-						atomicOperand[sel] = true
-						accs = append(accs, AtomicAccess{Key: key, Pos: sel.Pos(), Atomic: true})
-					}
-				}
-			}
-		}
-		return true
-	})
-
-	// Plain accesses: every other selector resolving to a named-type
-	// field of a basic (integer/word) type — the shapes sync/atomic
-	// operates on.
-	lhs := make(map[ast.Expr]bool)
-	ast.Inspect(body, func(x ast.Node) bool {
-		if as, ok := x.(*ast.AssignStmt); ok {
-			for _, l := range as.Lhs {
-				lhs[ast.Unparen(l)] = true
-			}
-		}
-		if inc, ok := x.(*ast.IncDecStmt); ok {
-			lhs[ast.Unparen(inc.X)] = true
-		}
-		return true
-	})
-	var visit func(x ast.Node)
-	visit = func(x ast.Node) {
-		if x == nil {
-			return
-		}
-		if lit, ok := x.(*ast.FuncLit); ok && lit != n.Lit {
-			return
-		}
-		if sel, ok := x.(*ast.SelectorExpr); ok && !atomicOperand[sel] {
-			if key, ok := fieldKey(pkg, sel); ok {
-				if isAtomicShaped(info.TypeOf(sel)) {
-					accs = append(accs, AtomicAccess{Key: key, Pos: sel.Pos(), Write: lhs[sel]})
-				}
-			}
-		}
-		var children []ast.Node
-		ast.Inspect(x, func(c ast.Node) bool {
-			if c == nil || c == x {
-				return c == x
-			}
-			children = append(children, c)
-			return false
-		})
-		for _, c := range children {
-			visit(c)
-		}
-	}
-	visit(body)
-	return accs
-}
-
-// fieldKey resolves a selector to "Type.field" when it selects a field
-// of a named struct type.
-func fieldKey(pkg *Package, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return "", false
-	}
-	named := namedOf(s.Recv())
-	if named == nil {
-		return "", false
-	}
-	return named.Obj().Name() + "." + sel.Sel.Name, true
-}
-
-// isAtomicShaped reports whether t is a type sync/atomic functions
-// operate on (fixed-size integers, uintptr, unsafe.Pointer).
-func isAtomicShaped(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	switch b.Kind() {
-	case types.Int32, types.Int64, types.Uint32, types.Uint64, types.Uintptr, types.UnsafePointer, types.Int, types.Uint:
-		return true
-	}
-	return false
 }

@@ -1,9 +1,5 @@
 package analysis
 
-import (
-	"go/token"
-)
-
 // hotalloc statically proves the contract extract's alloc-bound tests
 // measure: after Precompile, per-hostname extraction allocates nothing.
 // It walks the typed call graph from Config.ZeroAllocRoots — following method
@@ -39,8 +35,10 @@ func runHotalloc(p *Program) []Diagnostic {
 		if n.OnceBody {
 			return true
 		}
-		if p.ann != nil {
-			if _, ok := p.ann.take("hotalloc", nodePos(p, n)); ok {
+		// An annotation above a literal budgets creating the closure,
+		// not its body.
+		if p.ann != nil && n.Decl != nil {
+			if _, ok := p.ann.take("hotalloc", p.Fset.Position(n.Decl.Pos())); ok {
 				return true
 			}
 		}
@@ -63,17 +61,4 @@ func runHotalloc(p *Program) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// nodePos returns the position annotations attach to: the func keyword
-// of a declaration (its doc comment sits on the lines above) or the
-// literal's own position.
-func nodePos(p *Program, n *Node) token.Position {
-	if n.Decl != nil {
-		return p.Fset.Position(n.Decl.Pos())
-	}
-	if n.Lit != nil {
-		return p.Fset.Position(n.Lit.Pos())
-	}
-	return token.Position{}
 }

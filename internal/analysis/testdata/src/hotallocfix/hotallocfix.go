@@ -23,6 +23,7 @@ func ServeHot(hosts []string) int {
 		lazyInit(h)
 		n += len(coldError(h))
 		n += budgeted(h)
+		n += budgetedClosure(h)
 	}
 	r := renderer{}
 	f := r.render // the method value the old ident graph lost track of
@@ -121,4 +122,15 @@ func budgeted(h string) int {
 // Unreachable from the root: allocations here are silent.
 func ColdPath(h string) string {
 	return fmt.Sprintf("cold %s", h)
+}
+
+// budgetedClosure budgets creating its closure once per call; the
+// closure's body still runs per hostname, so an allocation inside it
+// is reported.
+func budgetedClosure(h string) int {
+	//hoiho:hotalloc one closure per call
+	f := func() int {
+		return len(h + "!") // want `string concatenation allocates the joined copy`
+	}
+	return f()
 }

@@ -1,18 +1,12 @@
 // Package lockorderfix exercises lockorder: acquisition-order
-// inversions detected across method boundaries, and atomic/plain mixed
-// access to one field.
+// inversions detected across method boundaries.
 package lockorderfix
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 type server struct {
 	mu    sync.Mutex
 	state sync.Mutex
-	hits  int64
-	gauge atomic.Int64
 }
 
 // lockAB establishes the order mu -> state.
@@ -51,25 +45,4 @@ func (p *filePair) second() {
 	p.b.Lock()
 	p.b.Unlock()
 	p.a.Unlock()
-}
-
-// hit updates hits through sync/atomic.
-func (s *server) hit() {
-	atomic.AddInt64(&s.hits, 1)
-}
-
-// report reads the same field plainly: no happens-before relationship
-// with the atomic adds — a stale or torn read.
-func (s *server) report() int64 {
-	return s.hits // want `plain read of "server.hits" which is accessed via sync/atomic`
-}
-
-// reset writes it plainly: same race, write side.
-func (s *server) reset() {
-	s.hits = 0 // want `plain write of "server.hits" which is accessed via sync/atomic`
-}
-
-// gaugeUp uses a typed atomic, immune by construction: no finding.
-func (s *server) gaugeUp() {
-	s.gauge.Add(1)
 }

@@ -152,20 +152,6 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 	return ok
 }
 
-// containsCallTo reports whether the expression tree contains a call to
-// the named package function (e.g. a time.Now buried in a seed
-// expression).
-func containsCallTo(info *types.Info, e ast.Expr, pkgPath, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isPkgFunc(info, call, pkgPath, name) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // containsExpr reports whether the expression tree contains a
 // sub-expression rendering equal to target under exprString.
 func containsExpr(e ast.Expr, target string) bool {
@@ -205,4 +191,16 @@ func unlabel(s ast.Stmt) ast.Stmt {
 		}
 		s = l.Stmt
 	}
+}
+
+// callViaSelection reports whether the call is a method call through a
+// receiver value (info.Selections), as opposed to a package-qualified
+// function call.
+func callViaSelection(pkg *Package, call *ast.CallExpr) (*ast.SelectorExpr, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, false
+	}
+	_, isSel := pkg.Info.Selections[sel]
+	return sel, isSel
 }

@@ -20,8 +20,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,4 +306,92 @@ func TestChaosCommitFailureRollsForward(t *testing.T) {
 		}
 	})
 	check()
+}
+
+// TestChaosClusterStatusUnderLoad reads GET /-/cluster in a loop while a
+// storm of extract requests runs through the router. Under -race, a
+// counter the request path bumps and the status path reads without the
+// same synchronization is a reported race; without -race the test still
+// requires the request count to only ever grow and to account every
+// request the storm made.
+func TestChaosClusterStatusUnderLoad(t *testing.T) {
+	check := leaktest.Check(t)
+	t.Run("storm", func(t *testing.T) {
+		nodes := newTestNodes(t, 3)
+		rt := newTestRouter(t, nodes, nil)
+		allowed := map[string]uint32{fingerprintOf(t, "first"): 1}
+
+		stop := make(chan struct{})
+		stats, wg := stormTraffic(t, rt, 4, stop, allowed, "")
+		var last uint64
+		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+			w := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/-/cluster", nil))
+			if w.Code != 200 {
+				t.Fatalf("GET /-/cluster = %d", w.Code)
+			}
+			var st ClusterStatus
+			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Requests < last {
+				t.Fatalf("requests counter went backwards: %d after %d", st.Requests, last)
+			}
+			last = st.Requests
+		}
+		close(stop)
+		wg.Wait()
+
+		if stats.requests.Load() == 0 {
+			t.Fatal("storm made no requests")
+		}
+		if n := stats.non200.Load() + stats.mismatch.Load(); n != 0 {
+			t.Errorf("%d bad responses during the status reads", n)
+		}
+		if got, want := rt.StatusNow().Requests, stats.requests.Load(); got < want {
+			t.Errorf("status accounts %d requests, the storm made %d", got, want)
+		}
+	})
+	check()
+}
+
+// TestChaosRouterWaitCoversUnscheduledLoops: Start, cancel and Wait in
+// one breath must not return while a probe or anti-entropy loop is
+// still to run. With one P the loops cannot be scheduled before Wait,
+// so only a WaitGroup counted before each go statement holds Wait
+// until they exit. The anti-entropy case runs with an empty membership
+// so that no probe loop keeps Wait busy long enough to hide it.
+func TestChaosRouterWaitCoversUnscheduledLoops(t *testing.T) {
+	for _, tc := range []struct {
+		name, creator string
+		journal       bool
+	}{
+		{"probe", "hoiho/internal/cluster.(*Router).startProbe", false},
+		{"anti-entropy", "hoiho/internal/cluster.(*Router).Start", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := leaktest.Check(t)
+			cfg := Config{Nodes: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}
+			if tc.journal {
+				cfg.JournalPath = t.TempDir()
+				cfg.AntiEntropyInterval = time.Hour
+			}
+			rt, err := NewRouter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.journal {
+				rt.view.Store(&view{})
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			ctx, cancel := context.WithCancel(context.Background())
+			rt.Start(ctx)
+			cancel()
+			rt.Wait()
+			if n := leaktest.Spawned(tc.creator); n != 0 {
+				t.Errorf("Wait returned with %d %s goroutines still to run", n, tc.name)
+			}
+			check()
+		})
+	}
 }

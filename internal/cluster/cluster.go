@@ -315,8 +315,8 @@ func (rt *Router) Start(ctx context.Context) {
 	}
 }
 
-// Wait blocks until every probe loop has exited — the shutdown
-// companion to cancelling Start's context.
+// Wait blocks until every probe loop and the anti-entropy loop have
+// exited — the shutdown companion to cancelling Start's context.
 func (rt *Router) Wait() { rt.wg.Wait() }
 
 // startProbe launches m's readiness loop under ctx. The member's cancel

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -370,4 +371,24 @@ func TestCheckpointRejects(t *testing.T) {
 			t.Errorf("resumed/learned = %d/%d, want 0/6", report.Resumed, report.Learned)
 		}
 	})
+}
+
+// TestChaosLearnAllWaitsForWorkers: LearnAll must not return while a
+// suffix worker it started is still to run. With one P and one worker
+// per suffix, each scoring serially, the first worker scheduled can
+// drain every job before the rest have run, so only a WaitGroup
+// counted before each go statement holds the return until they exit.
+func TestChaosLearnAllWaitsForWorkers(t *testing.T) {
+	defer leaktest.Check(t)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ncs, err := (&Learner{Workers: 6, Opts: Options{Workers: 1}}).LearnAll(context.Background(), psl.Default(), chaosItems(8))
+	if n := leaktest.Spawned("hoiho/internal/core.(*Learner).Learn"); n != 0 {
+		t.Errorf("LearnAll returned with %d suffix workers still to run", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ncs) != 5 {
+		t.Errorf("got %d NCs, want 5", len(ncs))
+	}
 }

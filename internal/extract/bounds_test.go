@@ -21,17 +21,52 @@ import (
 )
 
 // TestBoundExtractAllocs: after Precompile, Corpus.Extract allocates
-// nothing — on a match, a suffix hit with a regex miss, and an unknown
-// suffix.
+// nothing on a match, a suffix hit with a regex miss, or an unknown
+// suffix, under each of the three suffix lookups a corpus can select:
+//   - the direct tail probe, when no PSL rule lies beneath any indexed
+//     suffix;
+//   - the PSL registered-domain walk, when a rule lies beneath one
+//     (s3.amazonaws.com under amazonaws.com);
+//   - the label walk, when an indexed suffix is not a registered
+//     domain (net).
+//
+// A host that needs normalizing takes the one budgeted fallback, which
+// allocates once.
 func TestBoundExtractAllocs(t *testing.T) {
-	ncs, hosts := experiments.CorpusWorkload(128, 8)
-	c := extract.New(ncs)
-	c.Precompile()
-	ctx := context.Background()
-	for _, h := range hosts[:4] {
-		if allocs := testing.AllocsPerRun(200, func() { c.Extract(ctx, h) }); allocs != 0 {
-			t.Errorf("Extract(%q) = %v allocs/op, want 0", h, allocs)
+	workload, hosts := experiments.CorpusWorkload(128, 8)
+	nc := func(suffix, re string) *core.NC {
+		r, err := rex.Parse(re)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return &core.NC{Suffix: suffix, Regexes: []*rex.Regex{r}, Class: core.Good}
+	}
+	for _, tc := range []struct {
+		name   string
+		ncs    []*core.NC
+		hosts  []string
+		allocs float64
+	}{
+		{"direct", workload, hosts[:4], 0},
+		{"psl-walk", []*core.NC{nc("amazonaws.com", `^as(\d+)-[^\.]+\.amazonaws\.com$`)},
+			[]string{"as64500-pop1.amazonaws.com", "lo0.core1.amazonaws.com", "as64500-pop1.unknown.org"}, 0},
+		{"label-walk", []*core.NC{nc("net", `^as(\d+)-[^\.]+\.net$`)},
+			[]string{"as64500-pop1.net", "lo0.core1.carrier.net", "as64500-pop1.unknown.org"}, 0},
+		{"dirty-fallback", workload, []string{"AS1234-POP1.CARRIER0000.NET"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := extract.New(tc.ncs)
+			c.Precompile()
+			ctx := context.Background()
+			if _, ok := c.Extract(ctx, tc.hosts[0]); !ok && tc.allocs == 0 {
+				t.Fatalf("Extract(%q) missed; the workload must include a hit", tc.hosts[0])
+			}
+			for _, h := range tc.hosts {
+				if allocs := testing.AllocsPerRun(200, func() { c.Extract(ctx, h) }); allocs != tc.allocs {
+					t.Errorf("Extract(%q) = %v allocs/op, want %v", h, allocs, tc.allocs)
+				}
+			}
+		})
 	}
 }
 

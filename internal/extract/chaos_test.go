@@ -214,3 +214,41 @@ func TestChaosBatchCancelReturnsPartial(t *testing.T) {
 		})
 	}
 }
+
+// TestChaosStreamWorkerCancelledOnFullDones pins the worker's
+// cancellation exit: a worker that returns through its ctx arm must
+// still release the WaitGroup, or the goroutine closing the results
+// channel waits forever. One worker makes the schedule deterministic.
+// The consumer never reads, so chunk 0 fills the output buffer, the
+// reorderer blocks emitting chunk 1, and chunk 2 fills the one-slot
+// results channel. The worker then stalls on chunk 3 by injection.
+// When the stall observes cancellation, the worker's only ready arm
+// is ctx.Done.
+func TestChaosStreamWorkerCancelledOnFullDones(t *testing.T) {
+	plan := &faultinject.Plan{Rules: []faultinject.Rule{{
+		Stage: faultinject.StageStreamChunk, Key: "3",
+		Kind: faultinject.KindStall, Prob: 1, Stall: time.Minute,
+	}}}
+	defer faultinject.Activate(plan)()
+	ncs := syntheticNCs(t, 8)
+	c := New(ncs, WithWorkers(1))
+	defer leaktest.Check(t)()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := make(chan string, 4*streamChunk)
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < cap(in); i++ {
+		in <- randomHost(rng, ncs)
+	}
+	close(in)
+	out := c.ExtractStream(ctx, in)
+	for plan.Fired(0) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if len(out) != cap(out) {
+		t.Fatalf("output buffer holds %d of %d results with the worker stalled on chunk 3", len(out), cap(out))
+	}
+	cancel()
+	// The consumer walks away: out is never read again.
+}

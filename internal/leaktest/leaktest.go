@@ -12,6 +12,7 @@ package leaktest
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -50,4 +51,29 @@ func Wait(t testing.TB, base int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// Spawned returns how many live goroutines were started by creator, a
+// function name as stack traces print it after "created by", e.g.
+// "hoiho/internal/cluster.(*Router).Start". A goroutine that has been
+// created but not yet scheduled counts too. Unlike Wait it does not
+// poll: a test calls it the instant a shutdown call returns, to check
+// that the call waited for every goroutine it started.
+func Spawned(creator string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "created by "+creator); ok && (rest == "" || rest[0] == ' ') {
+			count++
+		}
+	}
+	return count
 }

@@ -236,23 +236,50 @@ func TestEngineSetParity(t *testing.T) {
 	}
 }
 
-func TestMatchStringAllocs(t *testing.T) {
-	eng := Compile([]*rex.Regex{
-		rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Lit("-"), rex.Excl("."), rex.Lit(".carrier.net")),
-	})
-	hit := "as1234-pop1.carrier.net"
-	missTail := "as1234-pop1.carrier.org"
-	missBody := "lo0.core55.carrier.net"
-	if _, ok := eng.MatchString(hit); !ok {
-		t.Fatal("expected hit")
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		eng.MatchString(hit)
-		eng.MatchString(missTail)
-		eng.MatchString(missBody)
-	})
-	if allocs != 0 {
-		t.Fatalf("MatchString allocates %.1f allocs/op, want 0", allocs)
+// TestBoundMatchStringAllocs: MatchString allocates nothing on any of
+// its compiled paths — the anchored det loop, the backtracking VM, the
+// left-open det start scan and the tail-trie dispatch of a multi-regex
+// set — whether it hits, misses on the tail literal or misses in the
+// body.
+func TestBoundMatchStringAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		res       []string
+		hit, miss string
+	}{
+		{"det", []string{`^as(\d+)-[^\.]+\.carrier\.net$`}, "as1234-pop1.carrier.net", "lo0.core55.carrier.net"},
+		{"vm", []string{`^(?:p|s)?(\d+)\.[a-z\d]+\.rand\.net$`}, "p64500.fra3.rand.net", "x64500.fra3.rand.net"},
+		{"det-left-open", []string{`(\d+)\.core\.carrier\.net$`}, "ae-1.as64500.core.carrier.net", "ae-1.asx.core.carrier.net"},
+		{"set", []string{`^as(\d+)\.edge\.carrier\.net$`, `^as(\d+)\.peer\.carrier\.net$`,
+			`^as(\d+)\.ix\.carrier\.net$`, `^as(\d+)-[^\.]+\.core\.carrier\.net$`},
+			"as1234-pop1.core.carrier.net", "lo0.core55.core.carrier.net"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var set []*rex.Regex
+			for _, re := range tc.res {
+				r, err := rex.Parse(re)
+				if err != nil {
+					t.Fatal(err)
+				}
+				set = append(set, r)
+			}
+			eng := Compile(set)
+			missTail := tc.hit[:len(tc.hit)-3] + "org"
+			if _, ok := eng.MatchString(tc.hit); !ok {
+				t.Fatalf("%v: expected a hit on %q", tc.res, tc.hit)
+			}
+			if _, ok := eng.MatchString(tc.miss); ok {
+				t.Fatalf("%v: expected a miss on %q", tc.res, tc.miss)
+			}
+			allocs := testing.AllocsPerRun(500, func() {
+				eng.MatchString(tc.hit)
+				eng.MatchString(missTail)
+				eng.MatchString(tc.miss)
+			})
+			if allocs != 0 {
+				t.Fatalf("MatchString allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

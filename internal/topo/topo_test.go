@@ -418,3 +418,59 @@ func BenchmarkTraceAll(b *testing.B) {
 		in.TraceAll()
 	}
 }
+
+// TestBuildDeterminismRarePaths rebuilds one seeded world twice with the
+// two generator branches DefaultConfig leaves cold: a fractional
+// BackupLinkRate (the last, partial backup port is a coin flip, as in
+// examples/openintel) and a bare-style IXP that prefixes its members'
+// ASNs (figure 4's p/s and dashed-metro shapes). A draw from the global
+// math/rand source on either branch makes the two builds diverge.
+func TestBuildDeterminismRarePaths(t *testing.T) {
+	build := func() *Internet {
+		cfg := DefaultConfig(5) // seed 5 has bare-prefix IXPs
+		cfg.BackupLinkRate = 2.5
+		in, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	a, b := build(), build()
+
+	bare := 0
+	for _, as := range a.ASes {
+		if as.Class != IXP || as.Naming == nil || as.Naming.Style != StyleBare || !as.Naming.BarePrefix {
+			continue
+		}
+		for _, ifc := range a.Interfaces() {
+			if ifc.Supplier == as.ASN && strings.HasSuffix(ifc.Hostname, "."+as.Suffix) && ifc.EmbeddedASN != asn.None {
+				bare++
+			}
+		}
+	}
+	if bare == 0 {
+		t.Fatal("no ASN-embedding hostname under a bare-prefix IXP; the seed no longer runs that branch")
+	}
+
+	if len(a.Links) != len(b.Links) {
+		t.Fatalf("link counts differ: %d vs %d", len(a.Links), len(b.Links))
+	}
+	for i := range a.Links {
+		la, lb := a.Links[i], b.Links[i]
+		if la.Kind != lb.Kind || la.A.Addr != lb.A.Addr || la.B.Addr != lb.B.Addr ||
+			la.A.Hostname != lb.A.Hostname || la.B.Hostname != lb.B.Hostname {
+			t.Fatalf("link %d differs: %s %q - %s %q vs %s %q - %s %q", i,
+				la.A.Addr, la.A.Hostname, la.B.Addr, la.B.Hostname,
+				lb.A.Addr, lb.A.Hostname, lb.B.Addr, lb.B.Hostname)
+		}
+	}
+	ia, ib := a.Interfaces(), b.Interfaces()
+	if len(ia) != len(ib) {
+		t.Fatalf("interface counts differ: %d vs %d", len(ia), len(ib))
+	}
+	for i := range ia {
+		if ia[i].Addr != ib[i].Addr || ia[i].Hostname != ib[i].Hostname {
+			t.Fatalf("interface %d differs: %s %q vs %s %q", i, ia[i].Addr, ia[i].Hostname, ib[i].Addr, ib[i].Hostname)
+		}
+	}
+}
