@@ -9,13 +9,15 @@ import (
 )
 
 // learnAllocCeiling bounds the allocations of one full learning run on
-// the 200-item large-suffix workload: 3,168 (the same under -race), held
+// the 200-item large-suffix workload: 1,894 (the same under -race), held
 // down by the struct-of-arrays item and match-matrix arenas, building
-// only the phase-1 candidates not yet seen, and matching on the compiled
-// programs, which allocate nothing per item. Matching through the stdlib
-// regexp and building every candidate before deduping cost 14,256
-// (20,845 under -race).
-const learnAllocCeiling = 3_500
+// only the phase-1 candidates not yet seen, matching on the compiled
+// programs, which allocate nothing per item, and compiling a stdlib
+// regexp only for a program that can fall back to it. A stdlib compile
+// for every candidate cost 3,168; matching through the stdlib regexp and
+// building every candidate before deduping cost 14,256 (20,845 under
+// -race).
+const learnAllocCeiling = 2_000
 
 // TestBoundLearnAllocs: learning the large-suffix workload stays under
 // learnAllocCeiling allocations. Alloc counts do not depend on the

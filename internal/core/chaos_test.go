@@ -392,3 +392,34 @@ func TestChaosLearnAllWaitsForWorkers(t *testing.T) {
 		t.Errorf("got %d NCs, want 5", len(ncs))
 	}
 }
+
+// TestChaosLearnAllCancelled: LearnAll answers to its context. The
+// last suffix stalls, and the run is cancelled inside the stall, after
+// the suffix workers have learned the others on their scratch: LearnAll
+// must return context.Canceled and no conventions. A LearnAll that
+// learned under a context of its own would wait the stall out and
+// return every convention.
+func TestChaosLearnAllCancelled(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer leaktest.Check(t)()
+			plan := &faultinject.Plan{Rules: []faultinject.Rule{{
+				Stage: faultinject.StageLearnSuffix, Key: "echo.com",
+				Kind: faultinject.KindStall, Prob: 1, Stall: time.Second,
+			}}}
+			defer faultinject.Activate(plan)()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				for plan.Fired(0) == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+			}()
+			ncs, err := (&Learner{Workers: workers}).LearnAll(ctx, psl.Default(), chaosItems(8))
+			if !errors.Is(err, context.Canceled) || ncs != nil {
+				t.Fatalf("LearnAll = %d NCs, %v; want none and context.Canceled", len(ncs), err)
+			}
+		})
+	}
+}

@@ -229,7 +229,7 @@ func (s *Set) rank(cands []scored) {
 // first-match semantics, so repeated calls cost bit operations plus the
 // parse of each distinct TP extraction.
 func (s *Set) uniqueExtractedASNs(ctx context.Context, regexes []*rex.Regex) ([]asn.ASN, error) {
-	m := s.matrix()
+	m := s.mx
 	if err := m.ensure(ctx, regexes); err != nil {
 		return nil, err
 	}

@@ -65,13 +65,14 @@ func (a *itemArena) runsOf(i int) []hostname.Run   { return a.runs[a.runOff[i]:a
 func (a *itemArena) spansOf(i int) []hostname.Span { return a.spans[a.spanOff[i]:a.spanOff[i+1]] }
 
 // Set is the training data for one suffix, ready for evaluation. A Set
-// is not safe for concurrent use: evaluation lazily builds the match
-// matrix (matrix.go) that memoizes per-regex outcomes.
+// is not safe for concurrent use: evaluation fills the match matrix
+// (matrix.go) that memoizes per-regex outcomes; ensure's internal
+// fan-out is self-contained.
 type Set struct {
 	Suffix string
 	ar     itemArena
 	opts   Options
-	mx     *matrix // lazily built memoization engine
+	mx     *matrix // the memoization engine, in the scratch the Set was built on
 }
 
 // Options tunes the learner. The zero value enables every phase with the
@@ -160,13 +161,35 @@ func (o Options) maxSingleNCs() int {
 // NewSet parses and indexes training items for one suffix. Items whose
 // hostname fails to parse, does not end with the suffix, or has no
 // training ASN are dropped.
-//
-//hoiho:ctxflow one linear parse pass over one suffix's items; the long-running phases are in Learn, which takes ctx
 func NewSet(suffix string, items []Item, opts Options) (*Set, error) {
+	return newSet(suffix, items, opts, new(scratch))
+}
+
+// scratch is the memory one suffix worker reuses across the suffixes it
+// learns: the item arena's backing arrays and the match matrix. A Set
+// is dead once its Learn returns (the NC keeps none of it), so the
+// worker's next Set takes the same memory, grown only when a larger
+// suffix needs more.
+type scratch struct {
+	ar itemArena
+	mx matrix
+}
+
+// reuse returns s emptied, keeping its backing array when it holds n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// newSet is NewSet on a worker's scratch: the Set's arena and matrix
+// take sc's memory, and sc keeps whatever the Set grew.
+func newSet(suffix string, items []Item, opts Options, sc *scratch) (*Set, error) {
 	if suffix == "" {
 		return nil, fmt.Errorf("core: empty suffix")
 	}
-	s := &Set{Suffix: suffix, opts: opts}
+	s := &Set{Suffix: suffix, opts: opts, ar: sc.ar}
 	a := &s.ar
 	// Size the arenas for every item up front, parts by counting
 	// delimiters, so the appends below do not regrow them.
@@ -179,15 +202,16 @@ func NewSet(suffix string, items []Item, opts Options) (*Set, error) {
 			}
 		}
 	}
-	a.items = make([]Item, 0, n)
-	a.full = make([]string, 0, n)
-	a.digits = make([]string, 0, n)
-	a.apparent = make([]bool, 0, n)
-	a.parts = make([]hostname.Part, 0, nParts)
-	a.runs = make([]hostname.Run, 0, n)
-	a.partOff = append(make([]int32, 0, n+1), 0)
-	a.runOff = append(make([]int32, 0, n+1), 0)
-	a.spanOff = append(make([]int32, 0, n+1), 0)
+	a.items = reuse(a.items, n)
+	a.full = reuse(a.full, n)
+	a.digits = reuse(a.digits, n)
+	a.apparent = reuse(a.apparent, n)
+	a.parts = reuse(a.parts, nParts)
+	a.runs = reuse(a.runs, n)
+	a.spans = a.spans[:0]
+	a.partOff = append(reuse(a.partOff, n+1), 0)
+	a.runOff = append(reuse(a.runOff, n+1), 0)
+	a.spanOff = append(reuse(a.spanOff, n+1), 0)
 	typo := !opts.DisableTypoCredit
 	for _, it := range items {
 		if it.ASN == asn.None {
@@ -217,6 +241,8 @@ func NewSet(suffix string, items []Item, opts Options) (*Set, error) {
 		a.runOff = append(a.runOff, int32(len(a.runs)))
 		a.spanOff = append(a.spanOff, int32(len(a.spans)))
 	}
+	sc.ar = *a
+	s.mx = sc.mx.reset(s)
 	return s, nil
 }
 
@@ -280,18 +306,47 @@ func inSpans(spans []hostname.Span, start, end int) bool {
 
 // GroupItems buckets items by registered domain using the supplied public
 // suffix list, returning the suffixes in sorted order alongside the map.
+// The buckets are capacity-capped windows of one slab, in input order.
 func GroupItems(list *psl.List, items []Item) (map[string][]Item, []string) {
-	groups := make(map[string][]Item)
-	for _, it := range items {
+	// One registered-domain lookup per item, numbering the suffixes in
+	// first-seen order; -1 marks an item with none.
+	ids := make(map[string]int32)
+	var suffixes []string
+	var counts []int
+	kept := 0
+	of := make([]int32, len(items))
+	for i, it := range items {
 		reg, ok := list.RegisteredDomain(it.Hostname)
 		if !ok {
+			of[i] = -1
 			continue
 		}
-		groups[reg] = append(groups[reg], it)
+		id, seen := ids[reg]
+		if !seen {
+			id = int32(len(suffixes))
+			ids[reg] = id
+			suffixes = append(suffixes, reg)
+			counts = append(counts, 0)
+		}
+		of[i] = id
+		counts[id]++
+		kept++
 	}
-	suffixes := make([]string, 0, len(groups))
-	for s := range groups {
-		suffixes = append(suffixes, s)
+	// counts becomes each suffix's next slot in the slab.
+	slab := make([]Item, kept)
+	groups := make(map[string][]Item, len(suffixes))
+	off := 0
+	for id, reg := range suffixes {
+		n := counts[id]
+		groups[reg] = slab[off : off+n : off+n]
+		counts[id] = off
+		off += n
+	}
+	for i, it := range items {
+		if id := of[i]; id >= 0 {
+			slab[counts[id]] = it
+			counts[id]++
+		}
 	}
 	sort.Strings(suffixes)
 	return groups, suffixes

@@ -111,7 +111,7 @@ func (s *Set) Learn(ctx context.Context) (*NC, error) {
 // regex's Eval is the memoized column aggregate. Regexes that fail to
 // compile are dropped, as before.
 func (s *Set) score(ctx context.Context, pool []*rex.Regex) ([]scored, error) {
-	m := s.matrix()
+	m := s.mx
 	if err := m.ensure(ctx, pool); err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func (s *Set) classPhase(ctx context.Context, cands []scored) ([]scored, error) 
 	for _, c := range cands {
 		seen[c.regex.String()] = true
 	}
-	m := s.matrix()
+	m := s.mx
 	var produced []*rex.Regex
 	for _, c := range cands {
 		r := s.embedClasses(c.regex, m.column(c.regex))
@@ -291,7 +291,7 @@ type candidateNC struct {
 // set's unmatched remainder — instead of re-running every regex in the
 // working set against every item.
 func (s *Set) setPhase(cands []scored) []candidateNC {
-	m := s.matrix()
+	m := s.mx
 	starts := s.opts.maxSetStarts()
 	if starts > len(cands) {
 		starts = len(cands)
@@ -453,6 +453,11 @@ type Report struct {
 // parallelism unless Opts.Workers overrides it. Panics are not caught
 // here — Learn adds the quarantine boundary.
 func (l *Learner) LearnSuffix(ctx context.Context, suffix string, items []Item) (*NC, error) {
+	return l.learnSuffix(ctx, suffix, items, new(scratch))
+}
+
+// learnSuffix is LearnSuffix on a worker's scratch.
+func (l *Learner) learnSuffix(ctx context.Context, suffix string, items []Item, sc *scratch) (*NC, error) {
 	opts := l.Opts
 	if opts.Workers == 0 {
 		opts.Workers = l.Workers
@@ -465,7 +470,7 @@ func (l *Learner) LearnSuffix(ctx context.Context, suffix string, items []Item) 
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	set, err := NewSet(suffix, items, opts)
+	set, err := newSet(suffix, items, opts, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -479,10 +484,11 @@ func (l *Learner) LearnSuffix(ctx context.Context, suffix string, items []Item) 
 	return set.Learn(ctx)
 }
 
-// learnOne learns one suffix inside the quarantine boundary: a panic or
-// a suffix-local failure (timeout, transient error, bad set) becomes a
-// *SuffixError; cancellation of the run's own context aborts instead.
-func (l *Learner) learnOne(ctx context.Context, suffix string, items []Item) (nc *NC, quar *SuffixError, runErr error) {
+// learnOne learns one suffix on the calling worker's scratch inside the
+// quarantine boundary: a panic or a suffix-local failure (timeout,
+// transient error, bad set) becomes a *SuffixError; cancellation of the
+// run's own context aborts instead.
+func (l *Learner) learnOne(ctx context.Context, suffix string, items []Item, sc *scratch) (nc *NC, quar *SuffixError, runErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			nc = nil
@@ -490,7 +496,7 @@ func (l *Learner) learnOne(ctx context.Context, suffix string, items []Item) (nc
 			runErr = nil
 		}
 	}()
-	nc, err := l.LearnSuffix(ctx, suffix, items)
+	nc, err := l.learnSuffix(ctx, suffix, items, sc)
 	if err == nil {
 		return nc, nil, nil
 	}
@@ -543,9 +549,10 @@ func (l *Learner) Learn(ctx context.Context, list *psl.List, items []Item) (*Rep
 
 	var runErr error
 	if workers <= 1 {
+		sc := new(scratch)
 		for _, i := range pending {
 			suf := suffixes[i]
-			nc, qe, err := l.learnOne(ctx, suf, groups[suf])
+			nc, qe, err := l.learnOne(ctx, suf, groups[suf], sc)
 			if err != nil {
 				runErr = err
 				break
@@ -574,9 +581,10 @@ func (l *Learner) Learn(ctx context.Context, list *psl.List, items []Item) (*Rep
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := new(scratch)
 				for i := range jobs {
 					suf := suffixes[i]
-					nc, qe, err := l.learnOne(ctx, suf, groups[suf])
+					nc, qe, err := l.learnOne(ctx, suf, groups[suf], sc)
 					mu.Lock()
 					switch {
 					case err != nil:

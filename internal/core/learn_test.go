@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hoiho/internal/asn"
@@ -277,6 +278,98 @@ func TestGroupItems(t *testing.T) {
 	}
 	if len(groups["example.com"]) != 2 {
 		t.Errorf("example.com group = %v", groups["example.com"])
+	}
+}
+
+// TestGroupItemsBuckets: each bucket holds its suffix's items in input
+// order, and appending to one bucket leaves its neighbours alone.
+func TestGroupItemsBuckets(t *testing.T) {
+	var items []Item
+	for i := 0; i < 6; i++ {
+		items = append(items,
+			Item{Hostname: fmt.Sprintf("as%d.b.example.com", i), ASN: asn.ASN(100 + i)},
+			Item{Hostname: fmt.Sprintf("as%d.other.net", i), ASN: asn.ASN(200 + i)})
+	}
+	groups, suffixes := GroupItems(psl.Default(), items)
+	if len(suffixes) != 2 {
+		t.Fatalf("suffixes = %v", suffixes)
+	}
+	for k, suf := range []string{"example.com", "other.net"} {
+		g := groups[suf]
+		if len(g) != 6 {
+			t.Fatalf("%s bucket has %d items, want 6", suf, len(g))
+		}
+		for i, it := range g {
+			if want := items[2*i+k]; it != want {
+				t.Errorf("%s bucket[%d] = %v, want %v", suf, i, it, want)
+			}
+		}
+	}
+	_ = append(groups["example.com"], Item{Hostname: "as9.clobber.example.com", ASN: 9})
+	if groups["other.net"][0] != items[1] {
+		t.Errorf("appending to example.com's bucket overwrote other.net's: %v", groups["other.net"][0])
+	}
+}
+
+// TestLearnOnScratchMatchesFresh: a worker's scratch carries nothing
+// from one suffix to the next. Suffixes of different sizes and shapes,
+// learned in turn on one scratch in both orders, each learn the NC a
+// fresh Set learns.
+func TestLearnOnScratchMatchesFresh(t *testing.T) {
+	type suffixItems struct {
+		suffix string
+		items  []Item
+	}
+	var mixed []Item
+	for i := 0; i < 6; i++ {
+		mixed = append(mixed,
+			Item{Hostname: fmt.Sprintf("as%d-pop%d.mix.net", 3000+i*11, i), ASN: asn.ASN(3000 + i*11)},
+			Item{Hostname: fmt.Sprintf("xe%d.cust.as%d.mix.net", i, 7000+i*17), ASN: asn.ASN(7000 + i*17)})
+	}
+	var ipish []Item
+	for i := 0; i < 10; i++ {
+		a := 64500 + i
+		ipish = append(ipish, Item{
+			Hostname: fmt.Sprintf("10-0-0-%d.as%d.edge.ipish.org", i, a),
+			Addr:     netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}),
+			ASN:      asn.ASN(a),
+		})
+	}
+	sets := []suffixItems{
+		{"example.net", startStyleItems(60)},
+		{"mix.net", mixed},
+		{"equinix.com", figure4Items()},
+		{"ipish.org", ipish},
+		{"example.net", startStyleItems(5)},
+	}
+	fresh := make([]*NC, len(sets))
+	for i, si := range sets {
+		set, err := NewSet(si.suffix, si.items, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = learnT(t, set)
+	}
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
+		sc := new(scratch)
+		for _, i := range order {
+			set, err := newSet(sets[i].suffix, sets[i].items, Options{}, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := learnT(t, set), fresh[i]
+			if (got == nil) != (want == nil) {
+				t.Fatalf("order %v, set %d: on scratch learned %v, fresh %v", order, i, got, want)
+			}
+			if got == nil {
+				continue
+			}
+			if !slices.Equal(got.Strings(), want.Strings()) || got.Eval != want.Eval ||
+				got.Class != want.Class || got.Single != want.Single {
+				t.Errorf("order %v, set %d: on scratch %v %+v %v, fresh %v %+v %v", order, i,
+					got.Strings(), got.Eval, got.Class, want.Strings(), want.Eval, want.Class)
+			}
+		}
 	}
 }
 

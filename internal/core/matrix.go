@@ -81,27 +81,52 @@ type matrix struct {
 	seenGen uint32
 	// remaining is evalSet's reusable first-match scratch bitset.
 	remaining bitset
+	// exts is the raw-extraction scratch a column build fills before
+	// finishColumn interns it; only matched slots are ever read.
+	exts []string
 }
 
-// matrix returns the Set's memoization engine, building it on first use.
-// The engine, like the Set itself, is not safe for concurrent use by
-// multiple goroutines; ensure's internal fan-out is self-contained.
-func (s *Set) matrix() *matrix {
-	if s.mx == nil {
-		m := &matrix{
-			s:        s,
-			apparent: newBitset(s.ar.len()),
-			cols:     make(map[*rex.Regex]*column),
-			extIDs:   make(map[string]uint32),
+// reset points m at s, forgetting every column and extraction it
+// memoized for an earlier Set while keeping its maps' and slices'
+// capacity for s.
+func (m *matrix) reset(s *Set) *matrix {
+	n := s.ar.len()
+	m.s = s
+	m.apparent = reuseBitset(m.apparent, n)
+	for i, a := range s.ar.apparent {
+		if a {
+			m.apparent.set(i)
 		}
-		for i, a := range s.ar.apparent {
-			if a {
-				m.apparent.set(i)
-			}
-		}
-		s.mx = m
 	}
-	return s.mx
+	if m.cols == nil {
+		m.cols = make(map[*rex.Regex]*column)
+		m.extIDs = make(map[string]uint32)
+	}
+	clear(m.cols)
+	clear(m.extIDs)
+	m.extStrs = m.extStrs[:0]
+	m.seenAll = m.seenAll[:0]
+	m.seenTP = m.seenTP[:0]
+	m.seenGen = 0
+	m.remaining = reuseBitset(m.remaining, n)
+	return m
+}
+
+// reuseBitset returns a zeroed bitset over n items, in b's array when it
+// is large enough.
+func reuseBitset(b bitset, n int) bitset {
+	w := (n + 63) / 64
+	b = reuse(b, w)[:w]
+	clear(b)
+	return b
+}
+
+// extScratch returns k slots of the extraction scratch, grown on demand.
+func (m *matrix) extScratch(k int) []string {
+	if cap(m.exts) < k {
+		m.exts = make([]string, k)
+	}
+	return m.exts[:k]
 }
 
 // intern maps an extraction string to a stable dense ID.
@@ -136,7 +161,8 @@ func newColumns(k, n int) []column {
 
 // buildColumn runs one regex over every item on the compiled matcher
 // (internal/match, whose leftmost-first captures are the stdlib's),
-// filling the caller's pre-allocated (zeroed) column and exts scratch.
+// filling the caller's pre-allocated (zeroed) column and writing exts
+// at the matched slots only.
 // It performs no interning and touches no shared state, so builds can
 // fan out across goroutines; the raw extraction strings feed a serial
 // finish pass.
@@ -207,7 +233,7 @@ func (m *matrix) column(r *rex.Regex) *column {
 	n := m.s.ar.len()
 	cols := newColumns(1, n)
 	c := &cols[0]
-	exts := make([]string, n)
+	exts := m.extScratch(n)
 	m.buildColumn(r, c, exts)
 	m.finishColumn(c, exts)
 	m.cols[r] = c
@@ -254,12 +280,12 @@ func (m *matrix) ensure(ctx context.Context, regexes []*rex.Regex) error {
 	if workers > len(missing) {
 		workers = len(missing)
 	}
-	// One column arena and one extraction-scratch slab for the whole
-	// batch; workers fill disjoint slots, so no synchronization beyond
+	// One column arena for the whole batch and the matrix's extraction
+	// scratch; workers fill disjoint slots, so no synchronization beyond
 	// the job channel is needed.
 	n := m.s.ar.len()
 	cols := newColumns(len(missing), n)
-	extsSlab := make([]string, n*len(missing))
+	extsSlab := m.extScratch(n * len(missing))
 	done := make([]bool, len(missing))
 	if workers <= 1 {
 		for i, r := range missing {
@@ -329,9 +355,6 @@ func (o Options) workers() int {
 func (m *matrix) evalSet(cols []*column) Eval {
 	var e Eval
 	n := m.s.ar.len()
-	if m.remaining == nil {
-		m.remaining = newBitset(n)
-	}
 	remaining := m.remaining
 	remaining.fill(n)
 	m.seenGen++

@@ -92,7 +92,7 @@ func TestMatrixMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := randomPool(t, rng, set)
-		m := set.matrix()
+		m := set.mx
 		if err := m.ensure(context.Background(), pool); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestMatrixBadColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := set.matrix()
+	m := set.mx
 	bad := &column{bad: true}
 	m.finishColumn(bad, nil)
 	if bad.eval.FN != 1 || bad.eval.Matches != 0 {

@@ -126,7 +126,7 @@ func TestClassPhaseEmbedsNarrowestClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	embed := func(set *Set, r *rex.Regex) *rex.Regex {
-		return set.embedClasses(r, set.matrix().column(r))
+		return set.embedClasses(r, set.mx.column(r))
 	}
 	out := embed(set, mustParseRegex(t, `^(\d+)\.[^\.]+\.x\.com$`))
 	if out == nil {

@@ -21,7 +21,7 @@ func checkCandidateSpans(t *testing.T, set *Set) (cands, leftOpen, dotStart int)
 	if _, err := set.Learn(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for r, c := range set.matrix().cols {
+	for r, c := range set.mx.cols {
 		if c == nil || c.bad {
 			continue
 		}

@@ -237,22 +237,32 @@ func TestEngineSetParity(t *testing.T) {
 }
 
 // TestBoundMatchStringAllocs: MatchString allocates nothing on any of
-// its compiled paths — the anchored det loop, the backtracking VM, the
-// left-open det start scan and the tail-trie dispatch of a multi-regex
-// set — whether it hits, misses on the tail literal or misses in the
-// body.
+// its compiled paths — the anchored det loop (ASCII and multi-byte
+// exclusion runs), the backtracking VM, the left-open det start scan
+// and the tail-trie dispatch of a multi-regex set — whether it hits,
+// misses on the tail literal or misses in the body. The two paths that
+// answer through oracleMatch — an oracle program, and a VM search that
+// exhausts its step budget — allocate only what the stdlib spends on
+// those same calls, measured in the same run.
 func TestBoundMatchStringAllocs(t *testing.T) {
+	budget := "^(\\d+)" + strings.Repeat("[^-]+", 12) + "!$"
 	for _, tc := range []struct {
 		name      string
 		res       []string
 		hit, miss string
+		// oracle lists the hosts the case answers through oracleMatch.
+		oracle []string
 	}{
-		{"det", []string{`^as(\d+)-[^\.]+\.carrier\.net$`}, "as1234-pop1.carrier.net", "lo0.core55.carrier.net"},
-		{"vm", []string{`^(?:p|s)?(\d+)\.[a-z\d]+\.rand\.net$`}, "p64500.fra3.rand.net", "x64500.fra3.rand.net"},
-		{"det-left-open", []string{`(\d+)\.core\.carrier\.net$`}, "ae-1.as64500.core.carrier.net", "ae-1.asx.core.carrier.net"},
+		{"det", []string{`^as(\d+)-[^\.]+\.carrier\.net$`}, "as1234-pop1.carrier.net", "lo0.core55.carrier.net", nil},
+		{"det-multibyte", []string{`^as(\d+)-[^\.-]+\.carrier\.net$`}, "as1234-pé1.carrier.net", "as1234-p-é.carrier.net", nil},
+		{"vm", []string{`^(?:p|s)?(\d+)\.[a-z\d]+\.rand\.net$`}, "p64500.fra3.rand.net", "x64500.fra3.rand.net", nil},
+		{"det-left-open", []string{`(\d+)\.core\.carrier\.net$`}, "ae-1.as64500.core.carrier.net", "ae-1.asx.core.carrier.net", nil},
 		{"set", []string{`^as(\d+)\.edge\.carrier\.net$`, `^as(\d+)\.peer\.carrier\.net$`,
 			`^as(\d+)\.ix\.carrier\.net$`, `^as(\d+)-[^\.]+\.core\.carrier\.net$`},
-			"as1234-pop1.core.carrier.net", "lo0.core55.core.carrier.net"},
+			"as1234-pop1.core.carrier.net", "lo0.core55.core.carrier.net", nil},
+		{"oracle", []string{`^as(\d+)[^é]+\.net$`}, "as9x.net", "as9é.net", []string{"as9x.net", "as9é.net"}},
+		{"vm-budget", []string{budget}, "1abcdefghijkl!", "1" + strings.Repeat("a", 40) + "-!",
+			[]string{"1" + strings.Repeat("a", 40) + "-!"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var set []*rex.Regex
@@ -271,13 +281,28 @@ func TestBoundMatchStringAllocs(t *testing.T) {
 			if _, ok := eng.MatchString(tc.miss); ok {
 				t.Fatalf("%v: expected a miss on %q", tc.res, tc.miss)
 			}
+			var want float64
+			if len(tc.oracle) > 0 {
+				p := eng.programs[0]
+				for _, h := range tc.oracle {
+					v := vm{host: h, steps: stepBudget}
+					if !p.oracle && (v.run(p, 0, 0) || v.steps >= 0) {
+						t.Fatalf("%q does not reach oracleMatch", h)
+					}
+				}
+				want = testing.AllocsPerRun(500, func() {
+					for _, h := range tc.oracle {
+						p.re.FindStringSubmatchIndex(h)
+					}
+				})
+			}
 			allocs := testing.AllocsPerRun(500, func() {
 				eng.MatchString(tc.hit)
 				eng.MatchString(missTail)
 				eng.MatchString(tc.miss)
 			})
-			if allocs != 0 {
-				t.Fatalf("MatchString allocates %.1f allocs/op, want 0", allocs)
+			if allocs > want {
+				t.Fatalf("MatchString allocates %.1f allocs/op, want <= %.1f (the stdlib's own for its oracle calls)", allocs, want)
 			}
 		})
 	}
@@ -312,6 +337,87 @@ func TestOracleProgram(t *testing.T) {
 	}
 	for _, host := range append(parityHosts, "as9x.net", "as9é.net") {
 		checkParity(t, r, host)
+	}
+}
+
+// TestCompileDropsWhatStdlibDrops: Compile keeps exactly the regexes
+// NewRegexpSet keeps. A literal holding invalid UTF-8 renders to text
+// the stdlib refuses to parse; Compile checks a det program only with
+// syntax.Parse, so the det case is the one that exercises that gate.
+func TestCompileDropsWhatStdlibDrops(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		toks []rex.Token
+		det  bool // the same tokens with a valid literal lower to a det program
+	}{
+		{"det", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Lit(".net")}, true},
+		{"det-excl", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Lit("-"), rex.Excl("."), rex.Lit(".net")}, true},
+		{"vm", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Excl("-"), rex.Excl("-")}, false},
+		{"oracle", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Excl("é"), rex.Lit(".net")}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rex.MustNew(tc.toks...)
+			valid := slices.Clone(tc.toks)
+			valid[0] = rex.Lit("a")
+			if p, ok := compileProgram(rex.MustNew(valid...)); !ok || p.det != tc.det {
+				t.Fatalf("valid-literal form: ok=%v, want det=%v", ok, tc.det)
+			}
+			set := []*rex.Regex{r, rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Lit(".net"))}
+			eng, ora := Compile(set), NewRegexpSet(set)
+			if eng.Len() != 1 || ora.Len() != 1 {
+				t.Fatalf("regex %q: engine kept %d of 2, oracle %d; want 1 each", r, eng.Len(), ora.Len())
+			}
+			if got := eng.programs[0].rxIndex; got != 1 {
+				t.Fatalf("kept program has rxIndex %d, want 1", got)
+			}
+			checkParity(t, r, "a\xff9.net")
+		})
+	}
+}
+
+// TestProgramRegexpOnlyWhereReachable pins the invariant on program.re:
+// every program that can reach oracleMatch (an oracle program, or a
+// non-det VM program's budget fallback) carries its stdlib compilation,
+// and no det program does, whether compiled or decoded from the wire.
+func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
+	budget := []rex.Token{rex.Capture()}
+	for i := 0; i < 12; i++ {
+		budget = append(budget, rex.Excl("-"))
+	}
+	regexes := append(tableRegexes(t),
+		rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Excl("é"), rex.Lit(".net")),
+		rex.MustNew(append(budget, rex.Lit("!"))...))
+	rng := rand.New(rand.NewSource(2))
+	for len(regexes) < 300 {
+		spec := make([]byte, rng.Intn(20)+2)
+		rng.Read(spec)
+		if r := specAST(spec); r != nil {
+			regexes = append(regexes, r)
+		}
+	}
+	var det, vmProgs, oracle int
+	check := func(label string, r *rex.Regex, e *Engine) {
+		for _, p := range e.programs {
+			switch {
+			case p.oracle:
+				oracle++
+			case p.det:
+				det++
+			default:
+				vmProgs++
+			}
+			if reaches := p.oracle || !p.det; reaches != (p.re != nil) {
+				t.Errorf("%s %q: oracle=%v det=%v but re set=%v", label, r, p.oracle, p.det, p.re != nil)
+			}
+		}
+	}
+	for _, r := range regexes {
+		fresh, loaded := rewire(t, []*rex.Regex{r})
+		check("compiled", r, fresh)
+		check("wire-decoded", r, loaded)
+	}
+	if det == 0 || vmProgs == 0 || oracle == 0 {
+		t.Fatalf("covered %d det, %d VM, %d oracle programs; want each kind", det, vmProgs, oracle)
 	}
 }
 

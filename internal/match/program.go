@@ -3,6 +3,7 @@ package match
 import (
 	"math/bits"
 	"regexp"
+	"regexp/syntax"
 	"strings"
 	"unicode/utf8"
 
@@ -92,10 +93,12 @@ type program struct {
 	tailLit string
 	// tailID indexes the owning engine's tail trie, -1 when unused.
 	tailID int
-	// re is the stdlib compilation of the same regex: the mid-match
-	// fallback when the backtracking budget runs out, and the whole
-	// matcher when oracle is set (ASTs the lowering cannot represent,
-	// e.g. non-ASCII exclusion sets).
+	// re is the stdlib compilation of the same regex, set exactly when
+	// the program can reach oracleMatch: the whole matcher when oracle
+	// is set (ASTs the lowering cannot represent, e.g. non-ASCII
+	// exclusion sets), and the mid-match fallback of a non-det VM
+	// program whose backtracking budget runs out. It is nil for det
+	// programs.
 	re     *regexp.Regexp
 	oracle bool
 	// det marks a program whose every quantified op has exactly one
@@ -103,9 +106,10 @@ type program struct {
 	// following literal's first byte cannot extend its run — so a match
 	// attempt never backtracks and runs on the iterative matchDet loop
 	// instead of the VM. Learned conventions are almost always det.
-	// det programs never consult re: matchDet and matchDetAll have no
-	// stdlib fallback, which is what lets the binary corpus loader skip
-	// regexp compilation for them entirely.
+	// matchDet and matchDetAll have no stdlib fallback, so neither
+	// compileProgram nor EngineFromWire builds re for a det program:
+	// almost every learned convention matches without a stdlib
+	// compilation.
 	det bool
 	// rxIndex is the program's position in the regex list it compiled
 	// from (Compile drops stdlib-uncompilable regexes, so program count
@@ -117,14 +121,17 @@ type program struct {
 // (such regexes have always been dropped from serving). A lowerable AST
 // gets the VM; anything else keeps stdlib matching behind the same
 // prefilters.
+//
+// Only a program that can reach oracleMatch pays for the stdlib
+// compilation. A det program is checked with syntax.Parse alone, which
+// drops exactly what regexp.Compile drops: regexp's compile fails only
+// in syntax.Parse (syntax.Compile never returns an error).
 func compileProgram(r *rex.Regex) (*program, bool) {
-	re, err := r.Compile()
-	if err != nil {
-		return nil, false
-	}
-	p := &program{leftOpen: r.LeftOpen(), re: re, tailID: -1}
+	p := &program{leftOpen: r.LeftOpen(), tailID: -1}
 	supported := true
-	for _, t := range r.Tokens() {
+	p.ops = make([]op, 0, r.NumTokens())
+	for i := 0; i < r.NumTokens(); i++ {
+		t := r.Token(i)
 		var o op
 		switch t.Kind {
 		case rex.KindLit:
@@ -181,6 +188,17 @@ func compileProgram(r *rex.Regex) (*program, bool) {
 	}
 	p.oracle = !supported
 	p.finalize()
+	if p.det {
+		if _, err := syntax.Parse(r.String(), syntax.Perl); err != nil {
+			return nil, false
+		}
+		return p, true
+	}
+	re, err := r.Compile()
+	if err != nil {
+		return nil, false
+	}
+	p.re = re
 	return p, true
 }
 

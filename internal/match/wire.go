@@ -77,11 +77,12 @@ func (e *Engine) Wire() []WireProgram {
 // recompiling the regexes: each program's derived dispatch state is
 // recomputed by finalize, and the tail trie is rebuilt. regexes is the
 // full source list the programs were compiled from (WireProgram.Index
-// indexes into it); only non-det programs — the oracle path and the
-// VM's budget-exhaustion fallback — compile their stdlib regexp, which
-// is what makes a binary corpus load reach ready-to-serve state without
-// paying regexp.Compile for the (overwhelmingly det) learned
-// conventions.
+// indexes into it). It keeps compileProgram's invariant on program.re:
+// a program that can reach oracleMatch — an oracle program, or a
+// non-det VM program's budget-exhaustion fallback — gets its stdlib
+// compilation, and a det program gets none. Learned conventions are
+// almost all det, so a binary corpus load reaches ready-to-serve state
+// with almost no regexp.Compile.
 func EngineFromWire(progs []WireProgram, regexes []*rex.Regex) (*Engine, error) {
 	e := &Engine{}
 	last := -1
