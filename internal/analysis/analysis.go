@@ -139,6 +139,7 @@ func Default() Config {
 		ZeroAllocRoots: []string{
 			"(*hoiho/internal/extract.Corpus).Extract",
 			"(*hoiho/internal/extract.Corpus).ExtractBatch",
+			"(*hoiho/internal/extract.Corpus).ExtractBatchInto",
 			"(*hoiho/internal/match.Engine).MatchString",
 		},
 		LockPkgs: []string{

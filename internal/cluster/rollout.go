@@ -47,6 +47,7 @@ import (
 
 	"hoiho/internal/extract"
 	"hoiho/internal/faultinject"
+	"hoiho/internal/serve"
 )
 
 // maxRolloutBodyBytes caps a corpus accepted by POST /-/rollout,
@@ -548,13 +549,13 @@ func (rt *Router) repairNode(ctx context.Context, m *member, epoch uint64, targe
 // prepare→validate window (chaos/CI hook), and the response is the
 // committed RolloutResult or the error that aborted the epoch.
 func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxRolloutBodyBytes+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: reading rollout body: %v", err), http.StatusBadRequest)
+	data, err := serve.ReadBody(r, maxRolloutBodyBytes, nil)
+	if errors.Is(err, serve.ErrBodyTooLarge) {
+		http.Error(w, fmt.Sprintf("cluster: rollout corpus exceeds %d-byte cap", maxRolloutBodyBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if int64(len(data)) > maxRolloutBodyBytes {
-		http.Error(w, fmt.Sprintf("cluster: rollout corpus exceeds %d-byte cap", maxRolloutBodyBytes), http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: reading rollout body: %v", err), http.StatusBadRequest)
 		return
 	}
 	var hold time.Duration

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"hoiho/internal/faultinject"
@@ -66,13 +68,15 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 // corpus).
 func (rt *Router) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 	rt.stats.requests.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBatchBytes+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("cluster: reading batch body: %v", err), http.StatusBadRequest)
+	// The body is not pooled: the transport may still read it after the
+	// forward returns (a retried or cancelled attempt).
+	body, err := serve.ReadBody(r, rt.cfg.MaxBatchBytes, nil)
+	if errors.Is(err, serve.ErrBodyTooLarge) {
+		http.Error(w, fmt.Sprintf("cluster: batch body exceeds %d-byte cap", rt.cfg.MaxBatchBytes), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBatchBytes {
-		http.Error(w, fmt.Sprintf("cluster: batch body exceeds %d-byte cap", rt.cfg.MaxBatchBytes), http.StatusBadRequest)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("cluster: reading batch body: %v", err), http.StatusBadRequest)
 		return
 	}
 	first := firstHostLine(body)
@@ -312,10 +316,26 @@ func (rt *Router) writeProxied(w http.ResponseWriter, resp *http.Response, node 
 		w.Header().Set("X-Hoiho-Degraded", "shard-owners-unavailable")
 	}
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
+	buf := relayBufs.Get().(*[relayBufBytes]byte)
+	_, err := io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
+	relayBufs.Put(buf)
+	if err != nil {
 		panic(http.ErrAbortHandler)
 	}
 }
+
+// relayBufs are the copy buffers answers are relayed through, so a
+// relay allocates none whatever the client and w are. net/http pools
+// its own buffer only for a chunked answer; an HTTP/1.0 client's goes
+// through the connection's ReadFrom, which allocates 32 KB per answer,
+// and io.Copy allocates as much for a ResponseWriter without ReadFrom.
+const relayBufBytes = 32 << 10
+
+var relayBufs = sync.Pool{New: func() any { return new([relayBufBytes]byte) }}
+
+// writerOnly hides w's ReadFrom, which io.CopyBuffer would take over
+// the given buffer.
+type writerOnly struct{ io.Writer }
 
 // shed writes the router's 503: all candidates exhausted (or none
 // exist), with a jittered Retry-After so synchronized clients spread

@@ -22,22 +22,23 @@ const batchChunk = 512
 // processed so far are returned alongside ctx.Err(), and the untouched
 // tail is zero-valued (OK == false).
 func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string) ([]Result, error) {
-	out := make([]Result, len(hosts)) //hoiho:hotalloc one result slice per batch call, amortized over len(hosts) items; TestBoundBatchSerialAllocs and TestBoundBatchParallelAllocs pin the batch budget
+	return c.ExtractBatchInto(ctx, nil, hosts)
+}
+
+// ExtractBatchInto is ExtractBatch writing into dst's storage: it
+// returns dst resliced to len(hosts), reallocated only when dst's
+// capacity is short, with every slot overwritten. A caller that keeps
+// the returned slice for its next batch extracts without allocating on
+// the serial path (at most one chunk, or one worker).
+func (c *Corpus) ExtractBatchInto(ctx context.Context, dst []Result, hosts []string) ([]Result, error) {
+	if cap(dst) < len(hosts) {
+		dst = make([]Result, len(hosts)) //hoiho:hotalloc one result slice when the caller's is short, amortized over len(hosts) items; TestBoundBatchIntoAllocs pins the reused slice at zero
+	} else {
+		clear(dst[:len(hosts)])
+	}
+	out := dst[:len(hosts)]
 	workers := c.workerCount(len(hosts))
 	nChunks := (len(hosts) + batchChunk - 1) / batchChunk
-	//hoiho:hotalloc one chunk-worker closure per batch call, not per hostname
-	extractChunk := func(ci int) {
-		lo := ci * batchChunk
-		hi := lo + batchChunk
-		if hi > len(hosts) {
-			hi = len(hosts)
-		}
-		for i := lo; i < hi; i++ {
-			if c.extractInto(&out[i], hosts[i]) {
-				out[i].Hostname = hosts[i]
-			}
-		}
-	}
 	if workers <= 1 || len(hosts) <= batchChunk {
 		for ci := 0; ci < nChunks; ci++ {
 			if err := ctx.Err(); err != nil {
@@ -46,7 +47,7 @@ func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string) ([]Result, er
 			if faultinject.Active() {
 				faultinject.Fire(ctx, faultinject.StageBatchChunk, strconv.Itoa(ci))
 			}
-			extractChunk(ci)
+			c.extractChunk(out, hosts, ci)
 		}
 		return out, nil
 	}
@@ -65,12 +66,24 @@ func (c *Corpus) ExtractBatch(ctx context.Context, hosts []string) ([]Result, er
 				if faultinject.Active() {
 					faultinject.Fire(ctx, faultinject.StageBatchChunk, strconv.Itoa(ci))
 				}
-				extractChunk(ci)
+				c.extractChunk(out, hosts, ci)
 			}
 		}()
 	}
 	wg.Wait()
 	return out, ctx.Err()
+}
+
+// extractChunk fills out's slots for chunk ci of hosts. The slots must
+// be zeroed: a miss leaves its slot untouched.
+func (c *Corpus) extractChunk(out []Result, hosts []string, ci int) {
+	lo := ci * batchChunk
+	hi := min(lo+batchChunk, len(hosts))
+	for i := lo; i < hi; i++ {
+		if c.extractInto(&out[i], hosts[i]) {
+			out[i].Hostname = hosts[i]
+		}
+	}
 }
 
 // streamChunk sizes the micro-batches ExtractStream hands to workers.

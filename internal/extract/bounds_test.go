@@ -71,14 +71,14 @@ func TestBoundExtractAllocs(t *testing.T) {
 }
 
 // batchSerialAllocs is what ExtractBatch allocates on its serial path
-// (at most one 512-host chunk): the result slice and the chunk closure.
-const batchSerialAllocs = 2
+// (at most one 512-host chunk, or one worker): the result slice.
+const batchSerialAllocs = 1
 
 // batchParallelAllocBase is what the parallel path allocates besides
-// one goroutine closure per worker: the four escapes the compiler
-// reports (the result slice, the chunk closure, the claim counter and
-// the WaitGroup) plus one more measured at run time.
-const batchParallelAllocBase = 5
+// one goroutine closure per worker: the three escapes the compiler
+// reports (the result slice, the claim counter and the WaitGroup) plus
+// one more measured at run time.
+const batchParallelAllocBase = 4
 
 // TestBoundBatchSerialAllocs: a batch of at most one chunk makes exactly
 // batchSerialAllocs allocations, whatever its size.
@@ -90,6 +90,38 @@ func TestBoundBatchSerialAllocs(t *testing.T) {
 	for _, n := range []int{1, 100, 512} {
 		if allocs := testing.AllocsPerRun(50, func() { c.ExtractBatch(ctx, hosts[:n]) }); allocs != batchSerialAllocs {
 			t.Errorf("ExtractBatch of %d hosts = %v allocs/op, want %d", n, allocs, batchSerialAllocs)
+		}
+	}
+}
+
+// TestBoundBatchIntoAllocs: ExtractBatchInto on the serial path
+// allocates nothing once the caller's slice is big enough — one chunk
+// on any corpus, or many chunks with one worker — and its results equal
+// ExtractBatch's even when the reused slice holds another batch's hits.
+func TestBoundBatchIntoAllocs(t *testing.T) {
+	ncs, hosts := experiments.CorpusWorkload(128, 2000)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		workers int
+		sizes   []int
+	}{{0, []int{1, 100, 512}}, {1, []int{513, 2000}}} {
+		c := extract.New(ncs, extract.WithWorkers(tc.workers))
+		c.Precompile()
+		dst := make([]extract.Result, 0, len(hosts))
+		for _, n := range tc.sizes {
+			// Fill dst with the other end of the workload first, so a
+			// slot the batch misses must be cleared, not left over.
+			dst, _ = c.ExtractBatchInto(ctx, dst, hosts[len(hosts)-n:])
+			if allocs := testing.AllocsPerRun(50, func() { dst, _ = c.ExtractBatchInto(ctx, dst, hosts[:n]) }); allocs != 0 {
+				t.Errorf("ExtractBatchInto of %d hosts with %d workers = %v allocs/op, want 0", n, tc.workers, allocs)
+			}
+			want, err := c.ExtractBatch(ctx, hosts[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("ExtractBatchInto of %d hosts differs from ExtractBatch", n)
+			}
 		}
 	}
 }

@@ -234,13 +234,13 @@ type RolloutOutcome struct {
 // X-Hoiho-Rollout-Nack: base-mismatch header, the coordinator's cue to
 // resend the full corpus to this node only.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxRolloutBytes+1))
-	if err != nil {
-		http.Error(w, "serve: reading rollout body: "+err.Error(), http.StatusBadRequest)
+	data, err := ReadBody(r, maxRolloutBytes, nil)
+	if errors.Is(err, ErrBodyTooLarge) {
+		http.Error(w, "serve: rollout corpus exceeds byte cap", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if int64(len(data)) > maxRolloutBytes {
-		http.Error(w, "serve: rollout corpus exceeds byte cap", http.StatusRequestEntityTooLarge)
+	if err != nil {
+		http.Error(w, "serve: reading rollout body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	// A missing epoch means 0 (a direct node call outside any rollout);

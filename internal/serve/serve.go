@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,12 +339,20 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 // MaxBatchBytes) and returns one result per input line, in input
 // order, all produced by a single corpus snapshot.
 func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	s.serveBatch(w, r, sc)
+	// Not deferred: a panic drops the scratch, since the panic value
+	// may hold strings cut from its body.
+	sc.release()
+}
+
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) {
 	snap := s.state.Load()
 	if snap == nil {
 		httpError(w, ErrNoCorpus, s.cfg.QueueWait)
 		return
 	}
-	hosts, err := readHostLines(r, s.cfg.MaxBatchBytes)
+	hosts, err := sc.readHosts(r, s.cfg.MaxBatchBytes)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -354,7 +361,7 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err, s.cfg.QueueWait)
 		return
 	}
-	results, err := snap.corpus.ExtractBatch(r.Context(), hosts)
+	sc.results, err = snap.corpus.ExtractBatchInto(r.Context(), sc.results, hosts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.stats.deadline.Add(1)
@@ -363,25 +370,31 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.served.Add(1)
-	s.stats.found.Add(countFound(results))
+	s.stats.found.Add(countFound(sc.results))
 	stamp(w, snap)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	writeAnswers(w, hosts, results)
+	sc.answer = writeAnswers(w, sc.answer, hosts, sc.results)
 }
 
-// answerFlushBytes is the batch answer's write buffer: the encoded
-// array goes out in chunks of about this size, so a batch of any length
+// answerFlushBytes is the batch answer's flush mark: the encoded array
+// goes out in chunks of about this size, so a batch of any length
 // costs one fixed buffer instead of its whole rendered answer.
 const answerFlushBytes = 64 << 10
 
+// answerBufBytes is the answer buffer's capacity: the flush mark plus
+// room for one more answer past it.
+const answerBufBytes = answerFlushBytes + 1<<10
+
 // writeAnswers streams a batch answer, the JSON array of one answer per
-// host, through a fixed buffer, sized down for a small batch and with
-// room past the flush mark for one more answer. A write error means the
-// client is gone, so encoding stops there.
-func writeAnswers(w io.Writer, hosts []string, results []extract.Result) {
-	buf := make([]byte, 0, min(128*len(hosts), answerFlushBytes)+1<<10)
-	buf = append(buf, '[')
+// host, through buf's storage (allocated at answerBufBytes when short)
+// and returns the buffer for reuse. A write error means the client is
+// gone, so encoding stops there.
+func writeAnswers(w io.Writer, buf []byte, hosts []string, results []extract.Result) []byte {
+	if cap(buf) < answerBufBytes {
+		buf = make([]byte, 0, answerBufBytes)
+	}
+	buf = append(buf[:0], '[')
 	for i, res := range results {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -389,12 +402,14 @@ func writeAnswers(w io.Writer, hosts []string, results []extract.Result) {
 		buf = appendAnswer(buf, hosts[i], res)
 		if len(buf) >= answerFlushBytes {
 			if _, err := w.Write(buf); err != nil {
-				return
+				return buf
 			}
 			buf = buf[:0]
 		}
 	}
-	w.Write(append(buf, ']', '\n'))
+	buf = append(buf, ']', '\n')
+	w.Write(buf)
+	return buf
 }
 
 // appendAnswer appends one extraction answer to dst: the JSON object
@@ -575,37 +590,6 @@ func (s *Server) StatusNow() Status { return s.status(s.state.Load()) }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatusNow())
-}
-
-// readHostLines parses a batch body: one hostname per line, blank
-// lines skipped, total size bounded by maxBytes so a hostile client
-// cannot buffer the daemon into an OOM. The body is read whole, so an
-// oversized or empty batch is refused before any answer byte is
-// written; the hostnames are substrings of one copy of it.
-func readHostLines(r *http.Request, maxBytes int64) ([]string, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading batch body: %w", err)
-	}
-	if int64(len(body)) > maxBytes {
-		return nil, fmt.Errorf("serve: batch body exceeds %d-byte cap", maxBytes)
-	}
-	var hosts []string
-	for rest := string(body); rest != ""; {
-		line := rest
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		if h := strings.TrimSpace(line); h != "" {
-			hosts = append(hosts, h)
-		}
-	}
-	if len(hosts) == 0 {
-		return nil, fmt.Errorf("serve: batch body contains no hostnames")
-	}
-	return hosts, nil
 }
 
 // writeJSON writes an admin or status document, indented for operators
