@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"hoiho/internal/faultinject"
@@ -316,26 +315,10 @@ func (rt *Router) writeProxied(w http.ResponseWriter, resp *http.Response, node 
 		w.Header().Set("X-Hoiho-Degraded", "shard-owners-unavailable")
 	}
 	w.WriteHeader(resp.StatusCode)
-	buf := relayBufs.Get().(*[relayBufBytes]byte)
-	_, err := io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
-	relayBufs.Put(buf)
-	if err != nil {
+	if _, err := io.Copy(w, resp.Body); err != nil {
 		panic(http.ErrAbortHandler)
 	}
 }
-
-// relayBufs are the copy buffers answers are relayed through, so a
-// relay allocates none whatever the client and w are. net/http pools
-// its own buffer only for a chunked answer; an HTTP/1.0 client's goes
-// through the connection's ReadFrom, which allocates 32 KB per answer,
-// and io.Copy allocates as much for a ResponseWriter without ReadFrom.
-const relayBufBytes = 32 << 10
-
-var relayBufs = sync.Pool{New: func() any { return new([relayBufBytes]byte) }}
-
-// writerOnly hides w's ReadFrom, which io.CopyBuffer would take over
-// the given buffer.
-type writerOnly struct{ io.Writer }
 
 // shed writes the router's 503: all candidates exhausted (or none
 // exist), with a jittered Retry-After so synchronized clients spread

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hoiho/internal/allocbound"
 	"hoiho/internal/faultinject"
 	"hoiho/internal/leaktest"
 )
@@ -118,32 +118,6 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
-// discardWriter is a ResponseWriter that keeps no body, so a bytes
-// bound counts what the handlers allocate and not a recorder's growth.
-type discardWriter struct {
-	h    http.Header
-	code int
-}
-
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(code int)        { w.code = code }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// bytesPerRun is testing.AllocsPerRun in bytes: the mean heap bytes
-// the process allocates per call of f, after one warm-up call, on one
-// P. Goroutines f waits on (here the node's) are counted too.
-func bytesPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
 // routedBatchBytesPerHost is the heap one 1000-host POST /extract
 // through Router.Handler may allocate per host, counting the router,
 // its transport and the node behind it. Measured on linux/amd64 with Go
@@ -170,14 +144,15 @@ func TestBoundRoutedBatchBytesPerHost(t *testing.T) {
 		fmt.Fprintf(&sb, "as%d-pod%d.cluster%d.net\n", 1000+i, i, i%nSuffixes)
 	}
 	body := []byte(sb.String())
-	w := &discardWriter{h: http.Header{}}
-	per := bytesPerRun(50, func() {
-		w.code = 0
+	w := allocbound.NewDiscardWriter()
+	per := allocbound.BytesPerRun(50, func() {
+		w.Code = 0
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/extract", bytes.NewReader(body)))
-		if w.code != http.StatusOK {
-			t.Fatalf("routed batch = %d", w.code)
+		if w.Code != http.StatusOK {
+			t.Fatalf("routed batch = %d", w.Code)
 		}
 	}) / n
+	t.Logf("%.1f bytes per host", per)
 	if per > routedBatchBytesPerHost {
 		t.Errorf("routed 1000-host POST /extract = %.1f bytes per host, want <= %d", per, routedBatchBytesPerHost)
 	}

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
+	"hoiho/internal/allocbound"
 	"hoiho/internal/asn"
 	"hoiho/internal/core"
 	"hoiho/internal/extract"
@@ -203,31 +203,6 @@ func TestBoundBatchAllocs(t *testing.T) {
 	}
 }
 
-// discardWriter is a ResponseWriter that keeps no body, so a bytes
-// bound counts what the handler allocates and not a recorder's growth.
-type discardWriter struct {
-	h    http.Header
-	code int
-}
-
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(code int)        { w.code = code }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// bytesPerRun is testing.AllocsPerRun in bytes: the mean heap bytes
-// allocated per call of f, after one warm-up call, on one P.
-func bytesPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
 // batchBytesPerHost is the heap a 1000-host POST /extract through
 // Handler may allocate per host, its request included. Measured on
 // linux/amd64 with Go 1.24: 5.8 bytes per host, most of it httptest's
@@ -243,14 +218,15 @@ func TestBoundBatchBytesPerHost(t *testing.T) {
 	h := s.Handler()
 	const n = 1000
 	body := []byte(strings.Join(batchHosts(n, false), "\n") + "\n")
-	w := &discardWriter{h: http.Header{}}
-	per := bytesPerRun(50, func() {
-		w.code = 0
+	w := allocbound.NewDiscardWriter()
+	per := allocbound.BytesPerRun(50, func() {
+		w.Code = 0
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/extract", bytes.NewReader(body)))
-		if w.code != http.StatusOK {
-			t.Fatalf("batch = %d", w.code)
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch = %d", w.Code)
 		}
 	}) / n
+	t.Logf("%.1f bytes per host", per)
 	if per > batchBytesPerHost {
 		t.Errorf("1000-host POST /extract = %.1f bytes per host, want <= %d", per, batchBytesPerHost)
 	}

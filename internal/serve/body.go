@@ -17,49 +17,57 @@ import (
 // byte cap. Each endpoint answers it with its own status and message.
 var ErrBodyTooLarge = errors.New("serve: request body exceeds its byte cap")
 
+// bodyStartBytes bounds the buffer ReadBody allocates before a byte
+// of the body has arrived. A 1000-host batch (about 40 KB) still reads
+// in one allocation, and a client that declares the cap and sends
+// nothing holds no more than this per connection.
+const bodyStartBytes = 64 << 10
+
 // ReadBody reads r's body whole into buf's storage and returns it,
 // failing with ErrBodyTooLarge when the body is longer than limit
-// bytes. A body that declares its length is read once into a buffer of
-// exactly that size (buf, when it is big enough), and a declared
-// length over limit fails before any byte is read. A body of unknown
-// length grows from buf the way io.ReadAll grows and fails once
-// limit+1 bytes have arrived. Every endpoint of the node and the router
-// that takes a whole body reads it here.
+// bytes. A declared length over limit fails before any byte is read.
+// Otherwise the read starts in buf, or in a fresh buffer of the
+// declared length capped at bodyStartBytes, and grows the way
+// io.ReadAll grows as bytes arrive: up to the declared length, or for a
+// body of unknown length until it ends or passes limit. Every endpoint
+// of the node and the router that takes a whole body reads it here.
 func ReadBody(r *http.Request, limit int64, buf []byte) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 {
-		if n > limit {
+	declared := r.ContentLength >= 0
+	want := limit + 1
+	if declared {
+		if r.ContentLength > limit {
 			return nil, ErrBodyTooLarge
 		}
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r.Body, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+		want = r.ContentLength
+	}
+	if start := min(want, bodyStartBytes); int64(cap(buf)) < start {
+		buf = make([]byte, 0, start)
 	}
 	buf = buf[:0]
-	for {
+	for int64(len(buf)) < want {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 		room := buf[len(buf):cap(buf)]
-		if left := limit + 1 - int64(len(buf)); int64(len(room)) > left {
+		if left := want - int64(len(buf)); int64(len(room)) > left {
 			room = room[:left]
 		}
 		n, err := r.Body.Read(room)
 		buf = buf[:len(buf)+n]
-		if err != nil && err != io.EOF {
+		if err == io.EOF {
+			if declared && int64(len(buf)) < want {
+				return nil, io.ErrUnexpectedEOF
+			}
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
-		if int64(len(buf)) > limit {
-			return nil, ErrBodyTooLarge
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
 	}
+	if int64(len(buf)) > limit {
+		return nil, ErrBodyTooLarge
+	}
+	return buf, nil
 }
 
 // batchScratch is one batch request's working memory: the body, the

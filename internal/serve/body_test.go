@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hoiho/internal/allocbound"
 )
 
 // oracleHostLines is the batch parser the daemon had before bodies were
@@ -130,6 +132,46 @@ func TestReadBodyCaps(t *testing.T) {
 	r.ContentLength = 8
 	if _, err := ReadBody(r, 10, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("declared 8 bytes, sent 5: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// errClientGone is what a stalled client's body read ends with.
+var errClientGone = errors.New("client went away")
+
+// stall is a client that declares a body, sends a few bytes of it and
+// goes away.
+type stall struct{ sent bool }
+
+func (s *stall) Read(p []byte) (int, error) {
+	if s.sent {
+		return 0, errClientGone
+	}
+	s.sent = true
+	return copy(p, "a.b\n"), nil
+}
+
+// TestReadBodyGrowsAsBytesArrive: a client that declares the cap and
+// sends a few bytes costs no more than bodyStartBytes, however large
+// the cap, and a declared body past that size, read in short pieces,
+// still arrives whole.
+func TestReadBodyGrowsAsBytesArrive(t *testing.T) {
+	const declared = maxRolloutBytes
+	r := httptest.NewRequest(http.MethodPost, "/-/rollout/prepare", nil)
+	r.ContentLength = declared
+	per := allocbound.BytesPerRun(20, func() {
+		r.Body = io.NopCloser(&stall{})
+		if _, err := ReadBody(r, declared, nil); !errors.Is(err, errClientGone) {
+			t.Fatalf("stalled body: err = %v, want %v", err, errClientGone)
+		}
+	})
+	if per > bodyStartBytes+1<<10 {
+		t.Errorf("declared %d bytes, sent 4: %.0f bytes allocated, want <= %d", declared, per, bodyStartBytes+1<<10)
+	}
+	body := bytes.Repeat([]byte("as1-pod2.serve0.net\n"), 5*bodyStartBytes/20)
+	r = batchRequest(body, 1000)
+	r.ContentLength = int64(len(body))
+	if got, err := ReadBody(r, declared, nil); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("declared %d bytes, read 1000 at a time: %d bytes, %v", len(body), len(got), err)
 	}
 }
 
