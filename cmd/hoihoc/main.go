@@ -55,7 +55,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -63,6 +62,7 @@ import (
 	"time"
 
 	"hoiho/internal/cluster"
+	"hoiho/internal/serve"
 )
 
 func main() {
@@ -153,7 +153,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := serve.NewHTTPServer(rt.Handler())
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- httpSrv.Serve(ln)

@@ -49,7 +49,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -107,7 +106,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := serve.NewHTTPServer(srv.Handler())
 	status := srv.StatusNow()
 	logger.Printf("serving corpus %s (%d NCs, fingerprint %s) on %s",
 		*corpus, status.NCs, status.Fingerprint, ln.Addr())

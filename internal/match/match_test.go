@@ -103,10 +103,14 @@ func TestCompiledMatchParityTable(t *testing.T) {
 	}
 }
 
+// exclSets are specAST's exclusion sets: a hostname's punctuation, and
+// the bytes that are syntax inside a class ('[', ':', ']', '\\', '^').
+var exclSets = []string{".", "-", ".-", "_", ".-_", "a", "[:digit:", "]", "\\", "^", "[^]-:"}
+
 // specAST deterministically builds a rex AST from raw bytes — shared by
 // the randomized property test and FuzzCompiledMatchParity. Literal and
-// exclusion alphabets stay within hostname-ish ASCII so the rendered
-// regex always compiles; subject hostnames remain arbitrary bytes.
+// exclusion alphabets stay within ASCII so the rendered regex always
+// compiles; subject hostnames remain arbitrary bytes.
 func specAST(spec []byte) *rex.Regex {
 	const litChars = "ab9z0.-_s"
 	var toks []rex.Token
@@ -127,7 +131,7 @@ func specAST(spec []byte) *rex.Regex {
 				toks = append(toks, rex.Capture())
 			}
 		case 2:
-			excl := []string{".", "-", ".-", "_", ".-_", "a"}[int(pay)%6]
+			excl := exclSets[int(pay)%len(exclSets)]
 			toks = append(toks, rex.Excl(excl))
 		case 3:
 			toks = append(toks, rex.ClassTok(rex.Class(pay%3)))
@@ -261,8 +265,7 @@ func TestBoundMatchStringAllocs(t *testing.T) {
 			`^as(\d+)\.ix\.carrier\.net$`, `^as(\d+)-[^\.]+\.core\.carrier\.net$`},
 			"as1234-pop1.core.carrier.net", "lo0.core55.core.carrier.net", nil},
 		{"oracle", []string{`^as(\d+)[^é]+\.net$`}, "as9x.net", "as9é.net", []string{"as9x.net", "as9é.net"}},
-		{"vm-budget", []string{budget}, "1abcdefghijkl!", "1" + strings.Repeat("a", 40) + "-!",
-			[]string{"1" + strings.Repeat("a", 40) + "-!"}},
+		{"vm-budget", []string{budget}, "1abcdefghijkl!", budgetHost, []string{budgetHost}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var set []*rex.Regex
@@ -290,9 +293,10 @@ func TestBoundMatchStringAllocs(t *testing.T) {
 						t.Fatalf("%q does not reach oracleMatch", h)
 					}
 				}
+				re := p.std.get()
 				want = testing.AllocsPerRun(500, func() {
 					for _, h := range tc.oracle {
-						p.re.FindStringSubmatchIndex(h)
+						re.FindStringSubmatchIndex(h)
 					}
 				})
 			}
@@ -308,17 +312,28 @@ func TestBoundMatchStringAllocs(t *testing.T) {
 	}
 }
 
-// TestBacktrackBudgetFallback: stacked exclusion runs that fail late
-// would backtrack exponentially; the program must exhaust its step
-// budget, fall back to the stdlib engine, and still agree with it.
-func TestBacktrackBudgetFallback(t *testing.T) {
+// budgetRegex is "^(\d+)" then twelve "[^-]+" runs then "!$": stacked
+// exclusion runs that fail late, a non-det VM program whose search
+// exhausts its step budget on budgetHost.
+func budgetRegex() *rex.Regex {
 	toks := []rex.Token{rex.Capture()}
 	for i := 0; i < 12; i++ {
 		toks = append(toks, rex.Excl("-"))
 	}
-	toks = append(toks, rex.Lit("!"))
-	r := rex.MustNew(toks...)
+	return rex.MustNew(append(toks, rex.Lit("!"))...)
+}
+
+// budgetHost makes budgetRegex's VM exhaust its step budget and fall
+// back to oracleMatch.
+var budgetHost = "1" + strings.Repeat("a", 40) + "-!"
+
+// TestBacktrackBudgetFallback: stacked exclusion runs that fail late
+// would backtrack exponentially; the program must exhaust its step
+// budget, fall back to the stdlib engine, and still agree with it.
+func TestBacktrackBudgetFallback(t *testing.T) {
+	r := budgetRegex()
 	checkParity(t, r, "1"+strings.Repeat("a", 40))         // no match, exponential without budget
+	checkParity(t, r, budgetHost)                          // no match, past the budget
 	checkParity(t, r, "1"+strings.Repeat("a", 40)+"!")     // match
 	checkParity(t, r, "123"+strings.Repeat("ab", 20)+"x!") // match with digits run
 }
@@ -341,26 +356,29 @@ func TestOracleProgram(t *testing.T) {
 }
 
 // TestCompileDropsWhatStdlibDrops: Compile keeps exactly the regexes
-// NewRegexpSet keeps. A literal holding invalid UTF-8 renders to text
-// the stdlib refuses to parse; Compile checks a det program only with
-// syntax.Parse, so the det case is the one that exercises that gate.
+// NewRegexpSet keeps. Text holding invalid UTF-8 is what the stdlib
+// refuses to parse; Compile decides it on the tokens (syntaxOK), for
+// every kind of program, and an exclusion set counts in render order,
+// with its dashes moved to the end.
 func TestCompileDropsWhatStdlibDrops(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		toks []rex.Token
-		det  bool // the same tokens with a valid literal lower to a det program
+		det  bool // the same tokens with a valid first token lower to a det program
 	}{
 		{"det", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Lit(".net")}, true},
 		{"det-excl", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Lit("-"), rex.Excl("."), rex.Lit(".net")}, true},
 		{"vm", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Excl("-"), rex.Excl("-")}, false},
 		{"oracle", []rex.Token{rex.Lit("a\xff"), rex.Capture(), rex.Excl("é"), rex.Lit(".net")}, false},
+		{"alt", []rex.Token{rex.Alt(true, "a", "b\xff"), rex.Capture(), rex.Lit(".net")}, true},
+		{"excl-dot-splits-rune", []rex.Token{rex.Excl("\xc3.\xa9"), rex.Capture(), rex.Lit(".net")}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rex.MustNew(tc.toks...)
 			valid := slices.Clone(tc.toks)
 			valid[0] = rex.Lit("a")
 			if p, ok := compileProgram(rex.MustNew(valid...)); !ok || p.det != tc.det {
-				t.Fatalf("valid-literal form: ok=%v, want det=%v", ok, tc.det)
+				t.Fatalf("valid form: ok=%v, want det=%v", ok, tc.det)
 			}
 			set := []*rex.Regex{r, rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Lit(".net"))}
 			eng, ora := Compile(set), NewRegexpSet(set)
@@ -373,20 +391,40 @@ func TestCompileDropsWhatStdlibDrops(t *testing.T) {
 			checkParity(t, r, "a\xff9.net")
 		})
 	}
+	// A dash between a rune's bytes renders after them: "[^é-]+" is
+	// valid, and both sides keep it.
+	r := rex.MustNew(rex.Excl("\xc3-\xa9"), rex.Capture(), rex.Lit(".net"))
+	if got := r.String(); got != `^[^é-]+(\d+)\.net$` {
+		t.Fatalf("render %q", got)
+	}
+	for _, host := range append(parityHosts, "x9.net", "é9.net", "-9.net") {
+		checkParity(t, r, host)
+	}
 }
 
-// TestProgramRegexpOnlyWhereReachable pins the invariant on program.re:
-// every program that can reach oracleMatch (an oracle program, or a
-// non-det VM program's budget fallback) carries its stdlib compilation,
-// and no det program does, whether compiled or decoded from the wire.
-func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
-	budget := []rex.Token{rex.Capture()}
-	for i := 0; i < 12; i++ {
-		budget = append(budget, rex.Excl("-"))
+// TestExclusionBracketParity: a '[' in an exclusion set once rendered
+// unescaped, so "[^[:digit:]+" named the POSIX class [:digit:] and the
+// stdlib matched hosts the compiled engine refused (it captured 12 in
+// "a12bb.net"). Both sides now read the set as its five characters.
+func TestExclusionBracketParity(t *testing.T) {
+	r := rex.MustNew(rex.Lit("a"), rex.Capture(), rex.Excl("[:digit:"), rex.Lit("x"), rex.Excl("."), rex.Lit(".net"))
+	for _, host := range append(parityHosts, "a12bb.net", "a12bbxc.net", "a12[x.net", "a12:bxc.net", "a12bdxc.net") {
+		checkParity(t, r, host)
 	}
+	if _, ok := Compile([]*rex.Regex{r}).MatchString("a12bbxc.net"); !ok {
+		t.Fatal("a12bbxc.net: no match")
+	}
+}
+
+// TestProgramRegexpOnlyWhereReachable pins the rule for a program's
+// stdlib compilation, whether compiled or decoded from the wire: a det
+// program never holds one; an oracle program holds one from the start,
+// since oracleMatch is its whole matcher; a non-det VM program holds
+// only its source until a match falls back, and compiles then.
+func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
 	regexes := append(tableRegexes(t),
 		rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Excl("é"), rex.Lit(".net")),
-		rex.MustNew(append(budget, rex.Lit("!"))...))
+		budgetRegex())
 	rng := rand.New(rand.NewSource(2))
 	for len(regexes) < 300 {
 		spec := make([]byte, rng.Intn(20)+2)
@@ -401,13 +439,20 @@ func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
 			switch {
 			case p.oracle:
 				oracle++
+				if p.std == nil || p.std.re == nil {
+					t.Errorf("%s %q: oracle program without its stdlib compilation", label, r)
+				}
 			case p.det:
 				det++
+				if p.std != nil {
+					t.Errorf("%s %q: det program holds a stdlib fallback", label, r)
+				}
 			default:
 				vmProgs++
-			}
-			if reaches := p.oracle || !p.det; reaches != (p.re != nil) {
-				t.Errorf("%s %q: oracle=%v det=%v but re set=%v", label, r, p.oracle, p.det, p.re != nil)
+				if p.std == nil || p.std.re != nil {
+					t.Errorf("%s %q: VM program: fallback set=%v, compiled before any fallback=%v",
+						label, r, p.std != nil, p.std != nil && p.std.re != nil)
+				}
 			}
 		}
 	}
@@ -418,6 +463,16 @@ func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
 	}
 	if det == 0 || vmProgs == 0 || oracle == 0 {
 		t.Fatalf("covered %d det, %d VM, %d oracle programs; want each kind", det, vmProgs, oracle)
+	}
+	fresh, loaded := rewire(t, []*rex.Regex{budgetRegex()})
+	for _, e := range []*Engine{fresh, loaded} {
+		p := e.programs[0]
+		if _, ok := e.MatchString("1abcdefghijkl!"); !ok || p.std.re != nil {
+			t.Fatalf("a match within the budget: ok=%v, compiled=%v; want a match and no compile", ok, p.std.re != nil)
+		}
+		if _, ok := e.MatchString(budgetHost); ok || p.std.re == nil {
+			t.Fatalf("a search past the budget: ok=%v, compiled=%v; want no match and a compile", ok, p.std.re != nil)
+		}
 	}
 }
 

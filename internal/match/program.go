@@ -2,8 +2,6 @@ package match
 
 import (
 	"math/bits"
-	"regexp"
-	"regexp/syntax"
 	"strings"
 	"unicode/utf8"
 
@@ -93,40 +91,38 @@ type program struct {
 	tailLit string
 	// tailID indexes the owning engine's tail trie, -1 when unused.
 	tailID int
-	// re is the stdlib compilation of the same regex, set exactly when
-	// the program can reach oracleMatch: the whole matcher when oracle
-	// is set (ASTs the lowering cannot represent, e.g. non-ASCII
-	// exclusion sets), and the mid-match fallback of a non-det VM
-	// program whose backtracking budget runs out. It is nil for det
-	// programs.
-	re     *regexp.Regexp
 	oracle bool
 	// det marks a program whose every quantified op has exactly one
 	// viable end position per attempt — its tail is fixed-width, or the
 	// following literal's first byte cannot extend its run — so a match
 	// attempt never backtracks and runs on the iterative matchDet loop
 	// instead of the VM. Learned conventions are almost always det.
-	// matchDet and matchDetAll have no stdlib fallback, so neither
-	// compileProgram nor EngineFromWire builds re for a det program:
-	// almost every learned convention matches without a stdlib
-	// compilation.
+	// matchDet and matchDetAll have no stdlib fallback, so a det
+	// program has no stdlib compilation: almost every learned
+	// convention matches without one.
 	det bool
 	// rxIndex is the program's position in the regex list it compiled
 	// from (Compile drops stdlib-uncompilable regexes, so program count
 	// can trail regex count). It keys the wire form back to its source.
 	rxIndex int
+	// std is the stdlib compilation oracleMatch answers with, set
+	// exactly when the program can reach oracleMatch (see setStdlib):
+	// the whole matcher of an oracle program (ASTs the lowering cannot
+	// represent, e.g. non-ASCII exclusion sets), and the mid-match
+	// fallback of a non-det VM program whose backtracking budget runs
+	// out. It is nil for det programs. The matcher reads it only there,
+	// so it sits apart from the fields every match reads.
+	std *stdlibRegexp
 }
 
 // compileProgram lowers r. ok is false when the stdlib cannot compile r
-// (such regexes have always been dropped from serving). A lowerable AST
-// gets the VM; anything else keeps stdlib matching behind the same
-// prefilters.
-//
-// Only a program that can reach oracleMatch pays for the stdlib
-// compilation. A det program is checked with syntax.Parse alone, which
-// drops exactly what regexp.Compile drops: regexp's compile fails only
-// in syntax.Parse (syntax.Compile never returns an error).
+// (such regexes have always been dropped from serving), which syntaxOK
+// decides on the tokens. A lowerable AST gets the VM; anything else
+// keeps stdlib matching behind the same prefilters.
 func compileProgram(r *rex.Regex) (*program, bool) {
+	if !syntaxOK(r) {
+		return nil, false
+	}
 	p := &program{leftOpen: r.LeftOpen(), tailID: -1}
 	supported := true
 	p.ops = make([]op, 0, r.NumTokens())
@@ -188,18 +184,24 @@ func compileProgram(r *rex.Regex) (*program, bool) {
 	}
 	p.oracle = !supported
 	p.finalize()
-	if p.det {
-		if _, err := syntax.Parse(r.String(), syntax.Perl); err != nil {
-			return nil, false
-		}
-		return p, true
-	}
-	re, err := r.Compile()
-	if err != nil {
-		return nil, false
-	}
-	p.re = re
+	p.setStdlib(r)
 	return p, true
+}
+
+// setStdlib gives a program that can reach oracleMatch the stdlib
+// compilation of its source r, which must have passed syntaxOK. An
+// oracle program compiles it now, since oracleMatch is its whole
+// matcher; a non-det VM program compiles it on its first budget
+// fallback, which no learned convention reaches; a det program gets
+// none.
+func (p *program) setStdlib(r *rex.Regex) {
+	if p.det {
+		return
+	}
+	p.std = &stdlibRegexp{src: r}
+	if p.oracle {
+		p.std.get()
+	}
 }
 
 // finalize derives every field the matcher dispatch needs from the
@@ -549,7 +551,7 @@ func (p *program) matchDetAll(host string) (int, int, bool) {
 
 // oracleMatch answers with the stdlib compilation of the same regex.
 func (p *program) oracleMatch(host string) (int, int, bool) {
-	m := p.re.FindStringSubmatchIndex(host)
+	m := p.std.get().FindStringSubmatchIndex(host)
 	if m == nil || m[2] < 0 {
 		return 0, 0, false
 	}

@@ -77,12 +77,12 @@ func (e *Engine) Wire() []WireProgram {
 // recompiling the regexes: each program's derived dispatch state is
 // recomputed by finalize, and the tail trie is rebuilt. regexes is the
 // full source list the programs were compiled from (WireProgram.Index
-// indexes into it). It keeps compileProgram's invariant on program.re:
-// a program that can reach oracleMatch — an oracle program, or a
-// non-det VM program's budget-exhaustion fallback — gets its stdlib
-// compilation, and a det program gets none. Learned conventions are
+// indexes into it). Each program's source must pass the syntax gate
+// Compile applies, and it gets its stdlib compilation by Compile's rule
+// (setStdlib): now for an oracle program, on first fallback for a
+// non-det VM program, never for a det one. Learned conventions are
 // almost all det, so a binary corpus load reaches ready-to-serve state
-// with almost no regexp.Compile.
+// without parsing or compiling regex text.
 func EngineFromWire(progs []WireProgram, regexes []*rex.Regex) (*Engine, error) {
 	e := &Engine{}
 	last := -1
@@ -92,6 +92,13 @@ func EngineFromWire(progs []WireProgram, regexes []*rex.Regex) (*Engine, error) 
 				pi, wp.Index, len(regexes))
 		}
 		last = wp.Index
+		r := regexes[wp.Index]
+		if r == nil {
+			return nil, fmt.Errorf("match: wire program %d: nil source regex %d", pi, wp.Index)
+		}
+		if !syntaxOK(r) {
+			return nil, fmt.Errorf("match: wire program %d: source regex %d is not valid regexp syntax", pi, wp.Index)
+		}
 		p := &program{leftOpen: wp.LeftOpen, oracle: wp.Oracle, tailID: -1, rxIndex: wp.Index}
 		p.ops = make([]op, len(wp.Ops))
 		for j, wo := range wp.Ops {
@@ -112,17 +119,7 @@ func EngineFromWire(progs []WireProgram, regexes []*rex.Regex) (*Engine, error) 
 			}
 		}
 		p.finalize()
-		if !p.det {
-			r := regexes[wp.Index]
-			if r == nil {
-				return nil, fmt.Errorf("match: wire program %d: nil source regex %d", pi, wp.Index)
-			}
-			re, err := r.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("match: wire program %d: source regex %d: %w", pi, wp.Index, err)
-			}
-			p.re = re
-		}
+		p.setStdlib(r)
 		e.programs = append(e.programs, p)
 	}
 	if len(e.programs) >= trieThreshold {

@@ -88,4 +88,19 @@ func TestWireRejectsBadPrograms(t *testing.T) {
 			t.Fatal("accepted nil source regex for oracle program")
 		}
 	})
+	t.Run("nil-regex-for-det", func(t *testing.T) {
+		nils := make([]*rex.Regex, len(regexes))
+		if _, err := EngineFromWire(wire[:1], nils); err == nil {
+			t.Fatal("accepted nil source regex for det program")
+		}
+	})
+	t.Run("source-fails-gate", func(t *testing.T) {
+		// A det program whose source renders invalid UTF-8: Compile would
+		// have dropped it, so the wire must not bring it back.
+		src := []*rex.Regex{rex.MustNew(rex.Lit("as\xff"), rex.Capture(), rex.Lit(".net"))}
+		bad := Compile([]*rex.Regex{rex.MustNew(rex.Lit("as"), rex.Capture(), rex.Lit(".net"))}).Wire()
+		if _, err := EngineFromWire(bad, src); err == nil {
+			t.Fatal("accepted a source regex the stdlib cannot parse")
+		}
+	})
 }

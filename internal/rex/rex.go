@@ -173,14 +173,16 @@ func appendEscLit(b []byte, s string) []byte {
 
 // appendClassChars renders characters inside [^...] the way the paper
 // prints them: dot escaped, dash last. A backslash and a ']' are escaped
-// too, so Parse reads the class back as the same set.
+// too, so Parse reads the class back as the same set, and so is a '[',
+// which the stdlib would otherwise read as the start of a POSIX class
+// ("[^[:digit:]+" names [:digit:] and swallows the closing bracket).
 func appendClassChars(b []byte, chars string) []byte {
 	dash := false
 	for i := 0; i < len(chars); i++ {
 		switch chars[i] {
 		case '.':
 			b = append(b, `\.`...)
-		case '\\', ']':
+		case '\\', ']', '[':
 			b = append(b, '\\', chars[i])
 		case '-':
 			dash = true
@@ -228,8 +230,11 @@ type Regex struct {
 
 // New builds a Regex from tokens. Empty literal tokens are dropped and
 // adjacent literals coalesced. New returns an error if the sequence does
-// not contain exactly one Capture, or contains more than one DotPlus
-// (§3.2 allows ".+" at most once per regex).
+// not contain exactly one Capture, contains more than one DotPlus (§3.2
+// allows ".+" at most once per regex), or holds an exclusion with no
+// characters: "[^]+" is not a class the stdlib reads as one (it takes
+// the ']' as the class's first member), so the compiled matcher and the
+// stdlib would disagree on it.
 func New(tokens ...Token) (*Regex, error) {
 	return build(false, tokens)
 }
@@ -258,6 +263,10 @@ func build(leftOpen bool, tokens []Token) (*Regex, error) {
 			captures++
 		case KindDotPlus:
 			dots++
+		case KindExcl:
+			if t.Excl == "" {
+				return nil, fmt.Errorf("rex: empty exclusion set")
+			}
 		}
 	}
 	if captures != 1 {

@@ -387,3 +387,45 @@ func TestAppendStringMatchesString(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExclusionBracketRendersEscaped: a '[' in an exclusion set renders
+// escaped, so the stdlib reads "[^\[:digit:]+" as the set of the five
+// characters and not as the POSIX class [:digit:], and Parse reads the
+// render back as the same set.
+func TestExclusionBracketRendersEscaped(t *testing.T) {
+	r := MustNew(Lit("a"), Capture(), Excl("[:digit:"), Lit("x"), Excl("."), Lit(".net"))
+	const want = `^a(\d+)[^\[:digit:]+x[^\.]+\.net$`
+	if got := r.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	back := mustParse(t, want)
+	if !back.Equal(r) {
+		t.Fatalf("Parse(%q) = %q, not the rendered regex", want, back)
+	}
+	// 'b' is outside the set: the stdlib must match and capture 12.
+	if asn, _, _, ok := r.Extract("a12bb.net"); ok {
+		t.Fatalf("Extract(a12bb.net) = %q: 'x' is required before the last run", asn)
+	}
+	if asn, _, _, ok := r.Extract("a12bbxc.net"); !ok || asn != "12" {
+		t.Fatalf("Extract(a12bbxc.net) = %q, %v; want 12", asn, ok)
+	}
+}
+
+// TestEmptyExclusionRejected: every constructor refuses an exclusion
+// with no characters. "[^]+" renders text the stdlib reads as one
+// class holding ']' and '[', not as an empty set.
+func TestEmptyExclusionRejected(t *testing.T) {
+	toks := []Token{Excl(""), Excl(""), Capture()}
+	if r, err := New(toks...); err == nil {
+		t.Errorf("New accepted an empty exclusion: %q", r)
+	}
+	if r, err := NewOpen(toks...); err == nil {
+		t.Errorf("NewOpen accepted an empty exclusion: %q", r)
+	}
+	if r, err := Parse(`^[^]+[^]+(\d+)$`); err == nil {
+		t.Errorf("Parse accepted an empty exclusion: %q", r)
+	}
+	if r, err := MustNew(Excl("."), Capture()).WithToken(0, Excl("")); err == nil {
+		t.Errorf("WithToken accepted an empty exclusion: %q", r)
+	}
+}
