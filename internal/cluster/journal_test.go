@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"log"
 	"os"
@@ -155,6 +156,68 @@ func TestRolloutDeltaEpoch(t *testing.T) {
 	}
 	if c, err := extract.Load(bytes.NewReader(prev)); err != nil || c.FingerprintString() != fpSecond {
 		t.Errorf("prev corpus fingerprints wrong: %v", err)
+	}
+}
+
+// TestRolloutV1CommittedFullSendThenDelta: a journal whose committed
+// corpus a version 1 coordinator wrote (testdata/first-v1.hbc, the
+// "first" corpus with its program table) costs exactly one epoch its
+// deltas. That epoch cannot read the base, ships full corpora and
+// commits a current-version corpus; the next epoch diffs against it
+// and ships the patch.
+func TestRolloutV1CommittedFullSendThenDelta(t *testing.T) {
+	nodes := newTestNodes(t, 3)
+	rt, logs := newJournaledRouter(t, nodes, t.TempDir(), nil)
+	v1, err := os.ReadFile(filepath.Join("testdata", "first-v1.hbc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[3] != 1 || extract.FormatFingerprint(binary.LittleEndian.Uint64(v1[4:])) != fingerprintOf(t, "first") {
+		t.Fatal("testdata/first-v1.hbc is not the first corpus in version 1")
+	}
+	if err := os.WriteFile(rt.journal.committedPath(), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	deltas := func(epoch uint64) int {
+		t.Helper()
+		st, err := rt.journal.load()
+		if err != nil || st == nil || st.Epoch != epoch || st.Phase != phaseCommitted {
+			t.Fatalf("journal after epoch %d = %+v, %v", epoch, st, err)
+		}
+		n := 0
+		for _, jn := range st.Nodes {
+			if jn.Delta {
+				n++
+			}
+		}
+		return n
+	}
+
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "second"), 0); err != nil {
+		t.Fatalf("epoch 1: %v", err)
+	}
+	if n := deltas(1); n != 0 {
+		t.Errorf("epoch 1 planned %d deltas against a version 1 base", n)
+	}
+	if !strings.Contains(logs.String(), "full sends this epoch") || !strings.Contains(logs.String(), "version 1") {
+		t.Errorf("the unreadable version 1 base left no trace in the coordinator log:\n%s", logs)
+	}
+	committed, err := rt.journal.readCommitted()
+	if err != nil || !corpusbin.IsHBC(committed) || committed[3] != corpusbin.Magic[3] {
+		t.Fatalf("epoch 1 did not commit a current-version corpus: %v", err)
+	}
+
+	if _, err := rt.Rollout(ctx, corpusHBC(t, "first"), 0); err != nil {
+		t.Fatalf("epoch 2: %v", err)
+	}
+	if n := deltas(2); n != len(nodes) {
+		t.Errorf("epoch 2 planned %d deltas, want one per node (%d)", n, len(nodes))
+	}
+	for i, n := range nodes {
+		if fp, _ := nodeFP(t, n); fp != fingerprintOf(t, "first") {
+			t.Errorf("node %d serves %s after epoch 2", i, fp)
+		}
 	}
 }
 

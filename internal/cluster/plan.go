@@ -2,8 +2,8 @@ package cluster
 
 // Epoch planning on decoded records. The coordinator never runs a
 // lookup, so it plans every epoch at the corpusbin record level: the
-// posted target is decoded (every check kept — checksum, fingerprint,
-// token validation, EngineFromWire on each record), reduced to the
+// posted target is decoded (every check a node's Load makes on the
+// bytes — checksum, fingerprint, token validation), reduced to the
 // canonical record list extract.New would index, and encoded once into
 // both the full HBC bytes and the HBD patch against the committed base.
 // The base lives in memory across epochs as its file bytes plus its
@@ -26,16 +26,16 @@ import (
 // committed corpus: the file's bytes, which every epoch compares
 // against committed.corpus before trusting the cache, and the key index
 // of its canonical records, all a full target's diff reads. It holds no
-// records, match engines or extract.Corpus: decoded records are most of
-// a corpus's heap, and the one planning path that needs them, applying
-// a posted HBD patch, decodes them from the bytes (records).
+// records or extract.Corpus: decoded records are most of a corpus's
+// heap, and the one planning path that needs them, applying a posted
+// HBD patch, decodes them from the bytes (records).
 type committedBase struct {
 	data []byte
 	*corpusbin.DeltaBase
 }
 
 // records decodes the base's canonical records from its bytes.
-func (b *committedBase) records() ([]corpusbin.NCRecord, error) {
+func (b *committedBase) records() ([]*core.NC, error) {
 	recs, _, err := corpusRecords(b.data)
 	return recs, err
 }
@@ -58,32 +58,32 @@ type targetPlan struct {
 // last record for a suffix wins and the survivors are sorted by suffix.
 // An already strictly sorted list, the form every encoder in this
 // repository writes, is returned as is, and asIs reports it.
-func canonicalRecords(recs []corpusbin.NCRecord) (out []corpusbin.NCRecord, asIs bool) {
+func canonicalRecords(recs []*core.NC) (out []*core.NC, asIs bool) {
 	sorted := true
 	for i := 1; i < len(recs) && sorted; i++ {
-		sorted = recs[i-1].NC.Suffix < recs[i].NC.Suffix
+		sorted = recs[i-1].Suffix < recs[i].Suffix
 	}
 	if sorted {
 		return recs, true
 	}
 	last := make(map[string]int, len(recs))
-	for i, rec := range recs {
-		last[rec.NC.Suffix] = i
+	for i, nc := range recs {
+		last[nc.Suffix] = i
 	}
-	out = make([]corpusbin.NCRecord, 0, len(last))
-	for i, rec := range recs {
-		if last[rec.NC.Suffix] == i {
-			out = append(out, rec)
+	out = make([]*core.NC, 0, len(last))
+	for i, nc := range recs {
+		if last[nc.Suffix] == i {
+			out = append(out, nc)
 		}
 	}
-	slices.SortFunc(out, func(a, b corpusbin.NCRecord) int { return strings.Compare(a.NC.Suffix, b.NC.Suffix) })
+	slices.SortFunc(out, func(a, b *core.NC) int { return strings.Compare(a.Suffix, b.Suffix) })
 	return out, false
 }
 
 // corpusRecords decodes a full HBC corpus into canonical records and
 // their fingerprint: the one Decode verified when the records are left
 // as decoded, computed over the reduced list otherwise.
-func corpusRecords(data []byte) ([]corpusbin.NCRecord, uint64, error) {
+func corpusRecords(data []byte) ([]*core.NC, uint64, error) {
 	dec, err := corpusbin.Decode(data)
 	if err != nil {
 		return nil, 0, err
@@ -91,15 +91,11 @@ func corpusRecords(data []byte) ([]corpusbin.NCRecord, uint64, error) {
 	if len(dec.NCs) == 0 {
 		return nil, 0, fmt.Errorf("cluster: corpus contains no conventions")
 	}
-	recs, asIs := canonicalRecords(dec.Records())
+	recs, asIs := canonicalRecords(dec.NCs)
 	if asIs {
 		return recs, dec.Fingerprint, nil
 	}
-	ncs := make([]*core.NC, len(recs))
-	for i, rec := range recs {
-		ncs[i] = rec.NC
-	}
-	return recs, core.FingerprintNCs(ncs), nil
+	return recs, core.FingerprintNCs(recs), nil
 }
 
 // loadBase decodes and indexes a committed corpus.
@@ -156,12 +152,12 @@ func planTarget(base *committedBase, data []byte) (*targetPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rollout: %w", err)
 		}
-		if len(patched.Records) == 0 {
+		if len(patched.NCs) == 0 {
 			return nil, fmt.Errorf("cluster: rollout: HBD delta yields a corpus with no conventions")
 		}
 		p.decode = time.Since(start)
 		start = time.Now()
-		recs, _ := canonicalRecords(patched.Records)
+		recs, _ := canonicalRecords(patched.NCs)
 		idx, err := corpusbin.IndexBase(recs)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rollout: %w", err)

@@ -16,7 +16,6 @@ import (
 	"hoiho/internal/corpusbin"
 	"hoiho/internal/experiments"
 	"hoiho/internal/extract"
-	"hoiho/internal/match"
 	"hoiho/internal/rex"
 )
 
@@ -84,30 +83,16 @@ func hbcOf(t testing.TB, ncs []*core.NC) []byte {
 	return buf.Bytes()
 }
 
-// wireRecords compiles ncs into records, in their order, duplicates
-// kept.
-func wireRecords(ncs []*core.NC) []corpusbin.NCRecord {
-	recs := make([]corpusbin.NCRecord, len(ncs))
-	for i, nc := range ncs {
-		recs[i] = corpusbin.NCRecord{NC: nc, Programs: match.Compile(nc.Regexes).Wire()}
-	}
-	return recs
-}
-
-// encodeRecords encodes recs as given: the kind of HBC only a foreign
-// writer produces when recs are not canonical.
-func encodeRecords(t testing.TB, recs []corpusbin.NCRecord) []byte {
+// rawHBC encodes ncs as given, in their order, duplicates kept: the
+// kind of HBC only a foreign writer produces when ncs are not
+// canonical.
+func rawHBC(t testing.TB, ncs []*core.NC) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := corpusbin.Encode(&buf, recs); err != nil {
+	if err := corpusbin.Encode(&buf, ncs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func rawHBC(t testing.TB, ncs []*core.NC) []byte {
-	t.Helper()
-	return encodeRecords(t, wireRecords(ncs))
 }
 
 // TestPlanTargetMatchesOracle: for every kind of target the coordinator
@@ -129,10 +114,12 @@ func TestPlanTargetMatchesOracle(t *testing.T) {
 	dup.Class = core.Poor
 	dups := append([]*core.NC{targetNCs[3], &dup}, targetNCs...)
 	dups = append(dups, &dup)
-	// An alternation op with no alternatives, which no compiler emits
+	// An alternation token with no alternatives, which no learner emits
 	// and the engine reads as "(?:)".
-	emptyAlt := wireRecords(targetNCs)
-	emptyAlt[0].Programs[0].Ops = append(emptyAlt[0].Programs[0].Ops, match.WireOp{Kind: 3, Opt: true})
+	emptyAlt := slices.Clone(targetNCs)
+	withAlt := *emptyAlt[0]
+	withAlt.Regexes = []*rex.Regex{rex.MustNew(append(withAlt.Regexes[0].Tokens(), rex.Token{Kind: rex.KindAlt, Opt: true})...)}
+	emptyAlt[0] = &withAlt
 	var jsonBuf bytes.Buffer
 	if err := extract.New(targetNCs).Save(&jsonBuf); err != nil {
 		t.Fatal(err)
@@ -153,7 +140,7 @@ func TestPlanTargetMatchesOracle(t *testing.T) {
 		{"canonical HBC", committed, hbcOf(t, targetNCs), false},
 		{"unsorted HBC", committed, rawHBC(t, reversed), false},
 		{"duplicate suffixes", committed, rawHBC(t, dups), false},
-		{"empty alternation", committed, encodeRecords(t, emptyAlt), false},
+		{"empty alternation", committed, rawHBC(t, emptyAlt), false},
 		{"JSON", committed, jsonBuf.Bytes(), true},
 		{"posted HBD", committed, patch.Bytes(), false},
 		{"first epoch", nil, hbcOf(t, targetNCs), false},
@@ -228,7 +215,7 @@ func TestPlanTargetFailsClosed(t *testing.T) {
 		"truncated HBC":   good[:len(good)/2],
 		"empty HBC":       rawHBC(t, nil),
 		"not a corpus":    []byte("{definitely not a corpus"),
-		"HBD, no base":    []byte("HBD\x01"),
+		"HBD, no base":    []byte("HBD\x02"),
 	} {
 		if _, err := planTarget(nil, data); err == nil {
 			t.Errorf("%s: planned", name)
@@ -351,6 +338,36 @@ func TestBoundPlanEpochSpeedup(t *testing.T) {
 	t.Logf("plan epoch: indexed corpora %v, records %v (%.2fx)", oracleOp, recordsOp, speedup)
 	if speedup < planMinSpeedup {
 		t.Errorf("record planner %v vs indexed-corpus planner %v: %.2fx faster, want >= %.1fx", recordsOp, oracleOp, speedup, planMinSpeedup)
+	}
+}
+
+// planTargetMaxAllocs caps what the coordinator allocates to plan one
+// epoch of the benchmark's rollout shape against the cached base:
+// decode the posted target, encode it once into the full bytes, the
+// delta and the next base's key index. Measured 20,641 (the same under
+// -race), about five per record: the record, its regex list, each
+// regex and its tokens, and the rendered regex the fingerprint hashes.
+// With each record's compiled programs stored beside its regexes, and
+// each string of the table allocated on its own, it was 53,414.
+const planTargetMaxAllocs = 22_000
+
+// TestBoundPlanTargetAllocs: planning an epoch allocates a few objects
+// per record and nothing per compiled program or interned string.
+func TestBoundPlanTargetAllocs(t *testing.T) {
+	baseNCs, targetNCs := planCorpora(4096, 32)
+	committed, target := hbcOf(t, baseNCs), hbcOf(t, targetNCs)
+	base, err := loadBase(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := planTarget(base, target); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("plan epoch of %d conventions (%d bytes): %v allocs", len(targetNCs), len(target), allocs)
+	if allocs > planTargetMaxAllocs {
+		t.Errorf("planTarget = %v allocs/op, want <= %d", allocs, planTargetMaxAllocs)
 	}
 }
 

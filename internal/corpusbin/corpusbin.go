@@ -1,67 +1,62 @@
 // Package corpusbin implements HBC, Hoiho's versioned binary corpus
-// format and the one format every corpus reader loads. A corpus of
-// learned naming conventions is served far more often than it is
-// written, and every hoihod boot and hot reload would otherwise
-// re-index, re-parse, and — most expensively — recompile every regex.
-// HBC persists what that work produces: an interned string table,
-// varint-packed NC records, and the internal/match compiled programs in
-// wire form, so decoding reaches ready-to-serve state without regex
-// parsing or matcher recompilation.
+// format and the one format every corpus reader loads. A learned naming
+// convention is its regexes, so HBC stores each one once, as rex
+// tokens: an interned string table, then varint-packed NC records.
+// Decoding rebuilds every regex through the rex constructors, which
+// re-validate the token sequence, with no regex-syntax parsing at all;
+// a loader compiles matchers from the decoded tokens (match.Compile),
+// which parses and compiles no regex text either.
 //
 // JSON remains the form people read and the correctness oracle:
 // encoding a corpus to HBC and decoding it back yields NCs whose JSON
 // serialization is byte-identical to the original (regex sources render
-// deterministically from their token form, which is what the programs
-// serialize alongside).
+// deterministically from their token form).
 //
 // Layout (all multi-byte scalars little-endian, varints are
 // encoding/binary uvarints):
 //
-//	magic       "HBC" + version byte (0x01)
+//	magic       "HBC" + version byte (0x02)
 //	fingerprint u64 — core.FingerprintNCs over the encoded NC list
-//	checksum    u64 — FNV-1a over the payload bytes that follow
+//	checksum    u32 — CRC-32C (Castagnoli) over the payload bytes that
+//	            follow
 //	payload:
 //	  string table   count, then per string: length + bytes
 //	  NC records     count, then per NC:
 //	    suffix ref, class byte, single byte, 6 eval uvarints,
 //	    regex count + token-form regexes (flags byte, token count,
-//	      per token: kind head byte + kind-specific payload),
-//	    program count + wire programs (see internal/match WireProgram)
+//	      per token: kind head byte + kind-specific payload)
 //
-// Regexes serialize as rex tokens, not source strings: decoding
-// reconstructs them through the rex constructors (which re-validate the
-// token sequence) with no regex-syntax parsing at all. Their JSON
-// source form renders lazily and deterministically from the tokens, so
-// the byte-identity guarantee below is unaffected.
+// Version 1 also stored each NC's compiled match programs and an FNV-1a
+// checksum; this build refuses it with an error naming `hoiho -save`,
+// which writes the current version.
 //
 // The fingerprint is the same corpus identity extract.Corpus serves in
 // its X-Hoiho-Corpus header; Decode recomputes it from the decoded NCs
 // and fails on mismatch. The checksum covers the whole payload —
-// including the program table and eval counters the fingerprint does
-// not — so any single corrupted bit fails the load before anything is
-// parsed. The string table is written in first-use order of a
-// deterministic record walk, so equal corpora encode byte-identically
-// and fingerprints are reproducible.
+// including the eval counters the fingerprint does not — so any single
+// corrupted bit fails the load before anything is parsed. The string
+// table is written in first-use order of a deterministic record walk,
+// so equal corpora encode byte-identically and fingerprints are
+// reproducible.
 package corpusbin
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 
 	"hoiho/internal/core"
-	"hoiho/internal/match"
 	"hoiho/internal/rex"
 )
 
 // Magic prefixes every HBC file: "HBC" plus a format version byte.
 // Format sniffers (extract.Load) match on the three-byte prefix so an
 // unsupported future version reports a version error, not "not HBC".
-var Magic = [4]byte{'H', 'B', 'C', 0x01}
+var Magic = [4]byte{'H', 'B', 'C', 0x02}
 
 // headerLen is magic + fingerprint + checksum.
-const headerLen = 4 + 8 + 8
+const headerLen = 4 + 8 + 4
 
 // maxSectionBytes caps what any single decoded section may allocate,
 // independently of the input's own length prefixes: a hostile count or
@@ -78,7 +73,7 @@ func IsHBC(data []byte) bool {
 
 // PeekFingerprint reads the corpus fingerprint from an HBC header
 // without decoding the records. The payload checksum is still verified
-// (one FNV pass, no allocation), so a truncated or bit-flipped corpus
+// (one CRC-32C pass, no allocation), so a truncated or bit-flipped corpus
 // is rejected here exactly as Decode would reject it; what Peek skips
 // is only the parse itself. The cluster rollout coordinator uses this
 // to learn the identity of a corpus it is about to ship N times without
@@ -88,42 +83,31 @@ func PeekFingerprint(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("corpusbin: peek: not an HBC corpus (missing magic)")
 	}
 	if data[3] != Magic[3] {
-		return 0, fmt.Errorf("corpusbin: peek: unsupported HBC version %d (this build reads %d)", data[3], Magic[3])
+		return 0, versionError("peek", Magic, data[3])
 	}
-	wantSum := binary.LittleEndian.Uint64(data[12:])
+	wantSum := binary.LittleEndian.Uint32(data[12:])
 	if got := checksum(data[headerLen:]); got != wantSum {
-		return 0, fmt.Errorf("corpusbin: peek: payload checksum mismatch (corrupt corpus): got %016x want %016x", got, wantSum)
+		return 0, fmt.Errorf("corpusbin: peek: payload checksum mismatch (corrupt corpus): got %08x want %08x", got, wantSum)
 	}
 	return binary.LittleEndian.Uint64(data[4:]), nil
 }
 
-// NCRecord pairs a convention with the wire form of its compiled
-// matcher for encoding.
-type NCRecord struct {
-	NC       *core.NC
-	Programs []match.WireProgram
+// versionError refuses bytes of a format version this build does not
+// read (magic's own is the one it reads), naming the commands that
+// write the current one.
+func versionError(op string, magic [4]byte, got byte) error {
+	hint := "write a current corpus with `hoiho -save x.hbc`"
+	if magic == DeltaMagic {
+		hint = "diff corpora written by `hoiho -save x.hbc` with `hoiho -diff`"
+	}
+	return fmt.Errorf("corpusbin: %s: unsupported %s version %d (this build reads %d); %s", op, magic[:3], got, magic[3], hint)
 }
 
 // Decoded is the result of a successful Decode: the conventions in
-// encoded order and, aligned with them, each one's wire programs and
-// reconstructed match engine, ready to serve without recompilation.
-// The programs let a caller re-encode or diff the corpus (Records)
-// without building an index over it.
+// encoded order and the fingerprint verified over them.
 type Decoded struct {
 	NCs         []*core.NC
-	Programs    [][]match.WireProgram
-	Engines     []*match.Engine
 	Fingerprint uint64
-}
-
-// Records pairs each decoded convention with its wire programs, in
-// encoded order: the input Encode and EncodeTarget take.
-func (d *Decoded) Records() []NCRecord {
-	recs := make([]NCRecord, len(d.NCs))
-	for i, nc := range d.NCs {
-		recs[i] = NCRecord{NC: nc, Programs: d.Programs[i]}
-	}
-	return recs
 }
 
 // stringTable interns strings in first-use order during encoding.
@@ -145,8 +129,8 @@ func (t *stringTable) ref(s string) uint64 {
 // Encode writes the corpus in HBC form. The record order is preserved
 // (callers pass suffix-sorted lists, matching the JSON form), and every
 // walk below is deterministic, so equal corpora encode byte-identically.
-func Encode(w io.Writer, recs []NCRecord) error {
-	data, err := marshal(recs, 0, false)
+func Encode(w io.Writer, ncs []*core.NC) error {
+	data, err := marshal(ncs, 0, false)
 	if err != nil {
 		return err
 	}
@@ -156,30 +140,28 @@ func Encode(w io.Writer, recs []NCRecord) error {
 	return nil
 }
 
-// marshal returns the complete HBC file for recs: header, string table,
+// marshal returns the complete HBC file for ncs: header, string table,
 // records. Encode, the delta encoder's target pass and ApplyDelta all
 // produce their full corpus bytes here. The header's fingerprint is fp
-// when attested is set — a core.FingerprintNCs over recs' NCs the
-// caller has verified — and computed over them otherwise.
-func marshal(recs []NCRecord, fp uint64, attested bool) ([]byte, error) {
-	// Presized for the common shape (a few strings and ~100 encoded
+// when attested is set — a core.FingerprintNCs over ncs the caller has
+// verified — and computed over them otherwise. The header's checksum
+// is the one hash of the file an encode pays: the delta encoder and
+// ApplyDelta read it back as the target's file sum.
+func marshal(ncs []*core.NC, fp uint64, attested bool) ([]byte, error) {
+	// Presized for the common shape (a few strings and ~60 encoded
 	// bytes per record): map rehashes and body regrowth were measurable
 	// on the delta-apply path, which re-encodes the full target file.
-	tab := &stringTable{ids: make(map[string]uint64, 4*len(recs))}
-	body := make([]byte, 0, 4096+128*len(recs))
-	body = binary.AppendUvarint(body, uint64(len(recs)))
-	for i, rec := range recs {
+	tab := &stringTable{ids: make(map[string]uint64, 4*len(ncs))}
+	body := make([]byte, 0, 4096+64*len(ncs))
+	body = binary.AppendUvarint(body, uint64(len(ncs)))
+	for i, nc := range ncs {
 		var err error
-		body, err = appendRecord(body, tab, i, rec)
+		body, err = appendRecord(body, tab, i, nc)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !attested {
-		ncs := make([]*core.NC, len(recs))
-		for i, rec := range recs {
-			ncs[i] = rec.NC
-		}
 		fp = core.FingerprintNCs(ncs)
 	}
 
@@ -188,7 +170,7 @@ func marshal(recs []NCRecord, fp uint64, attested bool) ([]byte, error) {
 	out = appendStrTable(out, tab.strs)
 	out = append(out, body...)
 	binary.LittleEndian.PutUint64(out[4:], fp)
-	binary.LittleEndian.PutUint64(out[12:], checksum(out[headerLen:]))
+	binary.LittleEndian.PutUint32(out[12:], checksum(out[headerLen:]))
 	return out, nil
 }
 
@@ -214,12 +196,11 @@ func strTableLen(strs []string) int {
 }
 
 // appendRecord serializes one NC record — suffix ref, class, single
-// flag, eval counters, token-form regexes, wire programs — into body,
-// interning strings through tab. It is the single record layout shared
-// by the full corpus encoder and the HBD delta encoder, so a record
-// inserted by a delta is byte-compatible with the full-corpus form.
-func appendRecord(body []byte, tab *stringTable, i int, rec NCRecord) ([]byte, error) {
-	nc := rec.NC
+// flag, eval counters, token-form regexes — into body, interning
+// strings through tab. It is the single record layout shared by the
+// full corpus encoder and the HBD delta encoder, so a record inserted
+// by a delta is byte-compatible with the full-corpus form.
+func appendRecord(body []byte, tab *stringTable, i int, nc *core.NC) ([]byte, error) {
 	if nc == nil || nc.Suffix == "" {
 		return nil, fmt.Errorf("corpusbin: encode: record %d has no suffix", i)
 	}
@@ -240,14 +221,6 @@ func appendRecord(body []byte, tab *stringTable, i int, rec NCRecord) ([]byte, e
 	for j, r := range nc.Regexes {
 		var err error
 		body, err = appendRegex(body, tab, nc.Suffix, j, r)
-		if err != nil {
-			return nil, err
-		}
-	}
-	body = binary.AppendUvarint(body, uint64(len(rec.Programs)))
-	for _, p := range rec.Programs {
-		var err error
-		body, err = appendProgram(body, tab, nc.Suffix, p, len(nc.Regexes))
 		if err != nil {
 			return nil, err
 		}
@@ -304,73 +277,15 @@ func appendRegex(body []byte, tab *stringTable, suffix string, j int, r *rex.Reg
 	return body, nil
 }
 
-// opFlag bits packed next to the op kind in its head byte.
-const (
-	opFlagOpt     = 1 << 2
-	opFlagCapture = 1 << 3
-	opKindMask    = 0x3
-)
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the
+// SSE4.2 instruction where the CPU has one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// program flags.
-const (
-	progFlagLeftOpen = 1 << 0
-	progFlagOracle   = 1 << 1
-)
-
-// wire op kinds, mirroring internal/match's opKind order.
-const (
-	wireOpLit  = 0
-	wireOpSet  = 1
-	wireOpExcl = 2
-	wireOpAlt  = 3
-)
-
-func appendProgram(body []byte, tab *stringTable, suffix string, p match.WireProgram, numRegexes int) ([]byte, error) {
-	if p.Index < 0 || p.Index >= numRegexes {
-		return nil, fmt.Errorf("corpusbin: encode: nc %s: program index %d out of range", suffix, p.Index)
-	}
-	body = binary.AppendUvarint(body, uint64(p.Index))
-	flags := byte(0)
-	if p.LeftOpen {
-		flags |= progFlagLeftOpen
-	}
-	if p.Oracle {
-		flags |= progFlagOracle
-	}
-	body = append(body, flags)
-	body = binary.AppendUvarint(body, uint64(len(p.Ops)))
-	for _, o := range p.Ops {
-		if o.Kind > wireOpAlt {
-			return nil, fmt.Errorf("corpusbin: encode: nc %s: unknown op kind %d", suffix, o.Kind)
-		}
-		head := o.Kind
-		if o.Opt {
-			head |= opFlagOpt
-		}
-		if o.Capture {
-			head |= opFlagCapture
-		}
-		body = append(body, head)
-		switch o.Kind {
-		case wireOpLit:
-			body = binary.AppendUvarint(body, tab.ref(o.Lit))
-		case wireOpSet, wireOpExcl:
-			body = binary.AppendUvarint(body, o.Set[0])
-			body = binary.AppendUvarint(body, o.Set[1])
-		case wireOpAlt:
-			body = binary.AppendUvarint(body, uint64(len(o.Alts)))
-			for _, a := range o.Alts {
-				body = binary.AppendUvarint(body, tab.ref(a))
-			}
-		}
-	}
-	return body, nil
-}
-
-func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
+// checksum is the HBC and HBD payload checksum, CRC-32C. It detects
+// every single-bit error, and every burst of up to 32 bits, by
+// construction.
+func checksum(payload []byte) uint32 {
+	return crc32.Checksum(payload, castagnoli)
 }
 
 // decoder is a bounds-checked cursor over the payload. Every read
@@ -417,15 +332,6 @@ func (d *decoder) count(what string, minItemBytes, itemSize int) (int, error) {
 	return int(v), nil
 }
 
-func (d *decoder) bytes(n int, what string) ([]byte, error) {
-	if n < 0 || n > d.remaining() {
-		return nil, d.errf("%s: %d bytes wanted, %d remain", what, n, d.remaining())
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b, nil
-}
-
 func (d *decoder) byteVal(what string) (byte, error) {
 	if d.remaining() < 1 {
 		return 0, d.errf("%s: truncated", what)
@@ -447,9 +353,10 @@ func (d *decoder) str(table []string, what string) (string, error) {
 }
 
 // Decode parses an HBC corpus, verifying the checksum before parsing
-// and the fingerprint after, and reconstructs each NC's match engine
-// from its serialized programs. Errors are fail-closed and descriptive;
-// no input can make Decode panic (FuzzHBCDecode enforces this).
+// and the fingerprint after. It builds no match engines: a loader
+// compiles those for the conventions it keeps. Errors are fail-closed
+// and descriptive; no input can make Decode panic (FuzzHBCDecode
+// enforces this).
 func Decode(data []byte) (*Decoded, error) {
 	if len(data) > maxSectionBytes+headerLen {
 		return nil, fmt.Errorf("corpusbin: decode: input exceeds %d-byte cap", maxSectionBytes)
@@ -458,13 +365,13 @@ func Decode(data []byte) (*Decoded, error) {
 		return nil, fmt.Errorf("corpusbin: decode: not an HBC corpus (missing magic)")
 	}
 	if data[3] != Magic[3] {
-		return nil, fmt.Errorf("corpusbin: decode: unsupported HBC version %d (this build reads %d)", data[3], Magic[3])
+		return nil, versionError("decode", Magic, data[3])
 	}
 	wantFP := binary.LittleEndian.Uint64(data[4:])
-	wantSum := binary.LittleEndian.Uint64(data[12:])
+	wantSum := binary.LittleEndian.Uint32(data[12:])
 	payload := data[headerLen:]
 	if got := checksum(payload); got != wantSum {
-		return nil, fmt.Errorf("corpusbin: decode: payload checksum mismatch (corrupt corpus): got %016x want %016x", got, wantSum)
+		return nil, fmt.Errorf("corpusbin: decode: payload checksum mismatch (corrupt corpus): got %08x want %08x", got, wantSum)
 	}
 
 	d := &decoder{data: payload}
@@ -478,20 +385,13 @@ func Decode(data []byte) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Decoded{
-		NCs:         make([]*core.NC, 0, nNCs),
-		Programs:    make([][]match.WireProgram, 0, nNCs),
-		Engines:     make([]*match.Engine, 0, nNCs),
-		Fingerprint: wantFP,
-	}
+	out := &Decoded{NCs: make([]*core.NC, 0, nNCs), Fingerprint: wantFP}
 	for i := 0; i < nNCs; i++ {
-		rec, eng, err := d.decodeNC(table)
+		nc, err := d.decodeNC(table)
 		if err != nil {
 			return nil, fmt.Errorf("corpusbin: decode: nc %d: %w", i, err)
 		}
-		out.NCs = append(out.NCs, rec.NC)
-		out.Programs = append(out.Programs, rec.Programs)
-		out.Engines = append(out.Engines, eng)
+		out.NCs = append(out.NCs, nc)
 	}
 	if d.remaining() != 0 {
 		return nil, d.errf("%d trailing bytes after last record", d.remaining())
@@ -504,14 +404,16 @@ func Decode(data []byte) (*Decoded, error) {
 
 // strTable reads the interned string table that opens every HBC and
 // HBD payload. Each entry costs at least one byte of input (its length
-// prefix); string headers are 16 bytes.
+// prefix); string headers are 16 bytes. One copy of the table's bytes
+// backs every entry, so a table costs two allocations however many
+// strings it holds.
 func (d *decoder) strTable() ([]string, error) {
 	nStrs, err := d.count("string table", 1, 16)
 	if err != nil {
 		return nil, err
 	}
-	table := make([]string, nStrs)
-	for i := range table {
+	start := d.off
+	for i := 0; i < nStrs; i++ {
 		n, err := d.uvarint("string length")
 		if err != nil {
 			return nil, err
@@ -519,88 +421,70 @@ func (d *decoder) strTable() ([]string, error) {
 		if n > uint64(d.remaining()) || n > maxSectionBytes {
 			return nil, d.errf("string %d: length %d exceeds remaining input", i, n)
 		}
-		b, err := d.bytes(int(n), "string bytes")
-		if err != nil {
-			return nil, err
-		}
-		table[i] = string(b)
+		d.off += int(n)
+	}
+	arena := string(d.data[start:d.off])
+	table := make([]string, nStrs)
+	off := 0
+	for i := range table {
+		n, w := binary.Uvarint(d.data[start+off:]) // validated above
+		off += w
+		table[i] = arena[off : off+int(n)]
+		off += int(n)
 	}
 	return table, nil
 }
 
-func (d *decoder) decodeNC(table []string) (NCRecord, *match.Engine, error) {
-	var rec NCRecord
+func (d *decoder) decodeNC(table []string) (*core.NC, error) {
 	nc := &core.NC{}
 	var err error
 	if nc.Suffix, err = d.str(table, "suffix"); err != nil {
-		return rec, nil, err
+		return nil, err
 	}
 	if nc.Suffix == "" {
-		return rec, nil, d.errf("empty suffix")
+		return nil, d.errf("empty suffix")
 	}
 	class, err := d.byteVal("class")
 	if err != nil {
-		return rec, nil, err
+		return nil, err
 	}
 	if class > byte(core.Good) {
-		return rec, nil, d.errf("unknown class %d", class)
+		return nil, d.errf("unknown class %d", class)
 	}
 	nc.Class = core.Classification(class)
 	single, err := d.byteVal("single flag")
 	if err != nil {
-		return rec, nil, err
+		return nil, err
 	}
 	if single > 1 {
-		return rec, nil, d.errf("invalid single flag %d", single)
+		return nil, d.errf("invalid single flag %d", single)
 	}
 	nc.Single = single == 1
 	evals := [6]*int{&nc.Eval.TP, &nc.Eval.FP, &nc.Eval.FN, &nc.Eval.Matches, &nc.Eval.UniqueTP, &nc.Eval.UniqueExtract}
 	for _, dst := range evals {
 		v, err := d.uvarint("eval counter")
 		if err != nil {
-			return rec, nil, err
+			return nil, err
 		}
 		if v > 1<<31-1 {
-			return rec, nil, d.errf("eval counter %d out of range", v)
+			return nil, d.errf("eval counter %d out of range", v)
 		}
 		*dst = int(v)
 	}
 
 	nRx, err := d.count("regex list", 1, 8)
 	if err != nil {
-		return rec, nil, err
+		return nil, err
 	}
 	nc.Regexes = make([]*rex.Regex, 0, nRx)
 	for j := 0; j < nRx; j++ {
 		r, err := d.decodeRegex(table)
 		if err != nil {
-			return rec, nil, fmt.Errorf("corpusbin: decode: regex %d: %w", j, err)
+			return nil, fmt.Errorf("corpusbin: decode: regex %d: %w", j, err)
 		}
 		nc.Regexes = append(nc.Regexes, r)
 	}
-
-	nProgs, err := d.count("program list", 3, 64)
-	if err != nil {
-		return rec, nil, err
-	}
-	if nProgs > nRx {
-		return rec, nil, d.errf("%d programs for %d regexes", nProgs, nRx)
-	}
-	progs := make([]match.WireProgram, 0, nProgs)
-	for j := 0; j < nProgs; j++ {
-		p, err := d.decodeProgram(table)
-		if err != nil {
-			return rec, nil, err
-		}
-		progs = append(progs, p)
-	}
-	eng, err := match.EngineFromWire(progs, nc.Regexes)
-	if err != nil {
-		return rec, nil, d.errf("nc %s: %v", nc.Suffix, err)
-	}
-	rec.NC = nc
-	rec.Programs = progs
-	return rec, eng, nil
+	return nc, nil
 }
 
 // decodeRegex reads one token-form regex and rebuilds it through the
@@ -685,80 +569,4 @@ func (d *decoder) decodeRegex(table []string) (*rex.Regex, error) {
 		return nil, d.errf("invalid token sequence: %v", err)
 	}
 	return r, nil
-}
-
-func (d *decoder) decodeProgram(table []string) (match.WireProgram, error) {
-	var p match.WireProgram
-	idx, err := d.uvarint("program index")
-	if err != nil {
-		return p, err
-	}
-	if idx > 1<<20 {
-		return p, d.errf("program index %d out of range", idx)
-	}
-	p.Index = int(idx)
-	flags, err := d.byteVal("program flags")
-	if err != nil {
-		return p, err
-	}
-	if flags&^byte(progFlagLeftOpen|progFlagOracle) != 0 {
-		return p, d.errf("unknown program flags %#x", flags)
-	}
-	p.LeftOpen = flags&progFlagLeftOpen != 0
-	p.Oracle = flags&progFlagOracle != 0
-	nOps, err := d.count("op list", 2, 64)
-	if err != nil {
-		return p, err
-	}
-	p.Ops = make([]match.WireOp, 0, nOps)
-	for i := 0; i < nOps; i++ {
-		head, err := d.byteVal("op head")
-		if err != nil {
-			return p, err
-		}
-		if head&^byte(opKindMask|opFlagOpt|opFlagCapture) != 0 {
-			return p, d.errf("unknown op flags %#x", head)
-		}
-		o := match.WireOp{
-			Kind:    head & opKindMask,
-			Opt:     head&opFlagOpt != 0,
-			Capture: head&opFlagCapture != 0,
-		}
-		switch o.Kind {
-		case wireOpLit:
-			if o.Lit, err = d.str(table, "op literal"); err != nil {
-				return p, err
-			}
-		case wireOpSet, wireOpExcl:
-			if o.Set[0], err = d.uvarint("op set low"); err != nil {
-				return p, err
-			}
-			if o.Set[1], err = d.uvarint("op set high"); err != nil {
-				return p, err
-			}
-		case wireOpAlt:
-			nAlts, err := d.count("alt list", 1, 16)
-			if err != nil {
-				return p, err
-			}
-			if nAlts == 0 {
-				// EngineFromWire reads an empty alternation as "(?:)";
-				// decoding it the same way keeps the decoded programs
-				// equal to the engine's Wire(), so re-encoding them
-				// yields what a save of the loaded corpus would.
-				o.Alts = []string{""}
-				break
-			}
-			o.Alts = make([]string, 0, nAlts)
-			for a := 0; a < nAlts; a++ {
-				s, err := d.str(table, "alt")
-				if err != nil {
-					return p, err
-				}
-				o.Alts = append(o.Alts, s)
-			}
-		}
-		p.Ops = append(p.Ops, o)
-	}
-	return p, nil
 }

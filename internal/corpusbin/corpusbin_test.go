@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -57,12 +59,8 @@ func testNCs(t testing.TB) []*core.NC {
 
 func encodeCorpus(t testing.TB, ncs []*core.NC) []byte {
 	t.Helper()
-	recs := make([]NCRecord, len(ncs))
-	for i, nc := range ncs {
-		recs[i] = NCRecord{NC: nc, Programs: match.Compile(nc.Regexes).Wire()}
-	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, recs); err != nil {
+	if err := Encode(&buf, ncs); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
@@ -100,9 +98,9 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineParityAfterDecode proves a deserialized engine answers
-// exactly like a freshly compiled one — same winner, same capture span
-// — across hits, misses, and dirty inputs.
+// TestEngineParityAfterDecode proves an engine compiled from decoded
+// regexes answers exactly like one compiled from the originals — same
+// winner, same capture span — across hits, misses, and dirty inputs.
 func TestEngineParityAfterDecode(t *testing.T) {
 	ncs := testNCs(t)
 	data := encodeCorpus(t, ncs)
@@ -120,7 +118,7 @@ func TestEngineParityAfterDecode(t *testing.T) {
 	}
 	for i, nc := range ncs {
 		fresh := match.Compile(nc.Regexes)
-		loaded := dec.Engines[i]
+		loaded := match.Compile(dec.NCs[i].Regexes)
 		if fresh.Len() != loaded.Len() {
 			t.Fatalf("%s: engine len %d vs %d", nc.Suffix, loaded.Len(), fresh.Len())
 		}
@@ -177,10 +175,7 @@ func TestHostileCountsCapped(t *testing.T) {
 	copy(data, Magic[:])
 	data = append(data, payload...)
 	// Stamp a correct checksum so the count check is what rejects it.
-	sum := checksum(payload)
-	for i := 0; i < 8; i++ {
-		data[12+i] = byte(sum >> (8 * i))
-	}
+	binary.LittleEndian.PutUint32(data[12:], checksum(payload))
 	_, err := Decode(data)
 	if err == nil {
 		t.Fatal("hostile string count decoded successfully")
@@ -204,6 +199,47 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version: %v", err)
 	}
+}
+
+// readV1 reads a file a version 1 encoder wrote: testNCs as HBC
+// (v1.hbc), or the delta from testNCs to mutatedNCs (v1.hbd).
+func readV1(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRefusesV1: version 1 bytes, with their program tables and FNV-1a
+// sums, are refused by every reader with an error that names the
+// version and the command that writes a current corpus, even though
+// their header fields are intact.
+func TestRefusesV1(t *testing.T) {
+	wantV1 := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: accepted version 1 bytes", what)
+		}
+		for _, want := range []string{"version 1", "reads 2", "hoiho -save x.hbc"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", what, err, want)
+			}
+		}
+	}
+	hbc, hbd := readV1(t, "v1.hbc"), readV1(t, "v1.hbd")
+	if binary.LittleEndian.Uint64(hbc[4:]) != core.FingerprintNCs(testNCs(t)) {
+		t.Fatal("v1.hbc is not testNCs: its header carries another fingerprint")
+	}
+	_, err := Decode(hbc)
+	wantV1("Decode", err)
+	_, err = PeekFingerprint(hbc)
+	wantV1("PeekFingerprint", err)
+	_, err = ApplyDelta(testNCs(t), hbd)
+	wantV1("ApplyDelta", err)
+	_, err = ApplyDeltaRecordsFP(testNCs(t), core.FingerprintNCs(testNCs(t)), hbd)
+	wantV1("ApplyDeltaRecordsFP", err)
 }
 
 // FuzzHBCRoundTrip builds an arbitrary (but valid) corpus from the fuzz
@@ -275,8 +311,8 @@ func FuzzHBCRoundTrip(f *testing.F) {
 		if dec.Fingerprint != fpBefore || core.FingerprintNCs(dec.NCs) != fpBefore {
 			t.Fatalf("fingerprint drifted: %016x vs %016x", dec.Fingerprint, fpBefore)
 		}
-		if len(dec.Engines) != len(ncs) {
-			t.Fatalf("%d engines for %d ncs", len(dec.Engines), len(ncs))
+		if len(dec.NCs) != len(ncs) {
+			t.Fatalf("%d ncs decoded of %d", len(dec.NCs), len(ncs))
 		}
 	})
 }
@@ -284,9 +320,10 @@ func FuzzHBCRoundTrip(f *testing.F) {
 // FuzzHBCDecode throws raw bytes at Decode: it must never panic, and on
 // success the decoded corpus must re-encode decodably (self-consistency).
 func FuzzHBCDecode(f *testing.F) {
-	f.Add([]byte("HBC\x01junk"))
+	f.Add([]byte("HBC\x02junk"))
 	f.Add([]byte{})
 	f.Add(encodeCorpus(f, testNCs(f)))
+	f.Add(readV1(f, "v1.hbc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(data)
 		if err != nil {
@@ -316,7 +353,7 @@ func TestDecodeErrorsQualifiedAndChained(t *testing.T) {
 		for b := 0; b < 8; b++ {
 			copy(mut, data)
 			mut[i] ^= 1 << b
-			binary.LittleEndian.PutUint64(mut[12:], checksum(mut[headerLen:]))
+			binary.LittleEndian.PutUint32(mut[12:], checksum(mut[headerLen:]))
 			_, err := Decode(mut)
 			if err == nil {
 				continue // flip landed somewhere semantically inert

@@ -10,13 +10,15 @@
 // Layout (all multi-byte scalars little-endian, varints are
 // encoding/binary uvarints):
 //
-//	magic            "HBD" + version byte (0x01)
+//	magic            "HBD" + version byte (0x02)
 //	base fingerprint u64 — core.FingerprintNCs of the corpus the delta
 //	                  applies to (the chain's tail)
 //	target fp        u64 — fingerprint of the corpus the delta produces
-//	target file sum  u64 — FNV-1a over the complete target HBC file
-//	                  bytes, pinning byte-identity of the applied result
-//	checksum         u64 — FNV-1a over the payload bytes that follow
+//	target file sum  u32 — the target HBC file's own header checksum
+//	                  (CRC-32C over its payload), which with the target
+//	                  fingerprint pins byte-identity of the applied
+//	                  result
+//	checksum         u32 — CRC-32C over the payload bytes that follow
 //	payload:
 //	  string table   count, then per string: length + bytes (interned
 //	                 from inserted records, first-use order)
@@ -31,10 +33,14 @@
 // addition. The chain (base fingerprint → target fingerprint) makes a
 // patch self-describing: ApplyDelta refuses to run against any corpus
 // other than the one the patch was diffed from, and the target file sum
-// catches any divergence — in eval counters or compiled programs — that
-// the NC fingerprint alone cannot see. Decode is fail-closed exactly
-// like HBC: bit flips and truncations are rejected before anything is
-// parsed, and no input can cause a panic (FuzzHBDDecode enforces this).
+// catches any divergence — in eval counters, say — that the NC
+// fingerprint alone cannot see. Both ends hash the target once: the
+// encoder copies the sum from the target file it just wrote, and
+// ApplyDelta compares it with the header of the file it assembles.
+// Version 1 deltas are refused like version 1 corpora. Decode is
+// fail-closed exactly like HBC: bit flips and truncations are rejected
+// before anything is parsed, and no input can cause a panic
+// (FuzzHBDDecode enforces this).
 package corpusbin
 
 import (
@@ -46,17 +52,16 @@ import (
 
 	"hoiho/internal/core"
 	"hoiho/internal/faultinject"
-	"hoiho/internal/match"
 )
 
 // DeltaMagic prefixes every HBD file: "HBD" plus a format version byte.
 // Sniffers match on the three-byte prefix so an unsupported future
 // version reports a version error, not "not a delta".
-var DeltaMagic = [4]byte{'H', 'B', 'D', 0x01}
+var DeltaMagic = [4]byte{'H', 'B', 'D', 0x02}
 
 // deltaHeaderLen is magic + base fingerprint + target fingerprint +
 // target file sum + payload checksum.
-const deltaHeaderLen = 4 + 8 + 8 + 8 + 8
+const deltaHeaderLen = 4 + 8 + 8 + 4 + 4
 
 // delta op kinds.
 const (
@@ -100,7 +105,7 @@ type DeltaBase struct {
 // key is the record encoded with a private string table — table then
 // body, the same mini-payload layout as a one-record corpus — so two
 // records share a key iff they encode identically: any change to a
-// record (an eval counter, a program op, a regex token) makes it
+// record (an eval counter, a regex token) makes it
 // "different" even when the NC fingerprint would not notice. The
 // private table and body buffer are reused for every record, and the
 // keys go into one arena, so a finished index costs one string and one
@@ -121,10 +126,10 @@ func newKeyIndexer(n int) *keyIndexer {
 }
 
 // add appends record i's key and returns it, valid until the next add.
-func (x *keyIndexer) add(i int, rec NCRecord) ([]byte, error) {
+func (x *keyIndexer) add(i int, nc *core.NC) ([]byte, error) {
 	clear(x.tab.ids)
 	x.tab.strs = x.tab.strs[:0]
-	body, err := appendRecord(x.body[:0], &x.tab, i, rec)
+	body, err := appendRecord(x.body[:0], &x.tab, i, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -148,15 +153,13 @@ func (x *keyIndexer) finish(fp uint64) *DeltaBase {
 	return &DeltaBase{Fingerprint: fp, count: len(x.ends), index: index}
 }
 
-// IndexBase indexes recs, in order, as a delta base.
-func IndexBase(recs []NCRecord) (*DeltaBase, error) {
-	ix := newKeyIndexer(len(recs))
-	ncs := make([]*core.NC, len(recs))
-	for i, rec := range recs {
-		if _, err := ix.add(i, rec); err != nil {
+// IndexBase indexes ncs, in order, as a delta base.
+func IndexBase(ncs []*core.NC) (*DeltaBase, error) {
+	ix := newKeyIndexer(len(ncs))
+	for i, nc := range ncs {
+		if _, err := ix.add(i, nc); err != nil {
 			return nil, fmt.Errorf("corpusbin: index base: %w", err)
 		}
-		ncs[i] = rec.NC
 	}
 	return ix.finish(core.FingerprintNCs(ncs)), nil
 }
@@ -183,16 +186,16 @@ type Encoded struct {
 // cases are well-formed: identical corpora produce an all-copy patch,
 // and disjoint corpora produce an all-insert patch (a full corpus with
 // extra framing) — the size ratio is the caller's signal for whether a
-// delta is worth shipping. fp is core.FingerprintNCs over target's NCs
-// in order, which the caller holds verified (Decode's, for records left
+// delta is worth shipping. fp is core.FingerprintNCs over target in
+// order, which the caller holds verified (Decode's, for records left
 // as decoded); it is stamped and chained as given instead of hashing
 // every regex again, so a wrong one writes a corpus that Decode and a
 // delta apply refuse.
-func EncodeTarget(base *DeltaBase, target []NCRecord, fp uint64) (*Encoded, error) {
+func EncodeTarget(base *DeltaBase, target []*core.NC, fp uint64) (*Encoded, error) {
 	return encodeTarget(base, target, fp, true)
 }
 
-func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) (*Encoded, error) {
+func encodeTarget(base *DeltaBase, target []*core.NC, fp uint64, attested bool) (*Encoded, error) {
 	full, err := marshal(target, fp, attested)
 	if err != nil {
 		return nil, err
@@ -205,8 +208,8 @@ func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) 
 		tab = &stringTable{ids: make(map[string]uint64)}
 		ops = make([]byte, 0, 256)
 	}
-	for i, rec := range target {
-		key, err := ix.add(i, rec)
+	for i, nc := range target {
+		key, err := ix.add(i, nc)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +222,7 @@ func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) 
 			continue
 		}
 		ops = append(ops, deltaOpInsert)
-		if ops, err = appendRecord(ops, tab, i, rec); err != nil {
+		if ops, err = appendRecord(ops, tab, i, nc); err != nil {
 			return nil, err
 		}
 	}
@@ -240,8 +243,10 @@ func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) 
 	binary.LittleEndian.PutUint64(delta[12:], targetFP)
 	// The target file sum pins the applied result to the bytes a full
 	// Encode of the target produces — ApplyDelta re-encodes and checks.
-	binary.LittleEndian.PutUint64(delta[20:], checksum(full))
-	binary.LittleEndian.PutUint64(delta[28:], checksum(payload))
+	// It is the target file's own checksum, so the target is hashed
+	// once per encode.
+	binary.LittleEndian.PutUint32(delta[20:], binary.LittleEndian.Uint32(full[12:]))
+	binary.LittleEndian.PutUint32(delta[24:], checksum(payload))
 	out.Delta = append(delta, payload...)
 	return out, nil
 }
@@ -249,7 +254,7 @@ func encodeTarget(base *DeltaBase, target []NCRecord, fp uint64, attested bool) 
 // EncodeDelta diffs target against base and writes the HBD patch that
 // rebuilds target from base: IndexBase then EncodeTarget, for callers
 // holding two record lists and no index.
-func EncodeDelta(w io.Writer, base, target []NCRecord) error {
+func EncodeDelta(w io.Writer, base, target []*core.NC) error {
 	b, err := IndexBase(base)
 	if err != nil {
 		return fmt.Errorf("corpusbin: encode delta: %w", err)
@@ -273,8 +278,8 @@ func EncodeDelta(w io.Writer, base, target []NCRecord) error {
 // target fingerprint and the promised full-file checksum
 // (ErrDeltaResultMismatch otherwise). No input can make ApplyDelta
 // panic (FuzzHBDDecode enforces this).
-func ApplyDelta(base []NCRecord, delta []byte) ([]byte, error) {
-	p, err := ApplyDeltaRecords(base, delta)
+func ApplyDelta(base []*core.NC, delta []byte) ([]byte, error) {
+	p, err := applyDelta(base, 0, false, delta)
 	if err != nil {
 		return nil, err
 	}
@@ -285,41 +290,35 @@ func ApplyDelta(base []NCRecord, delta []byte) ([]byte, error) {
 type Patched struct {
 	// Full is the complete target corpus in HBC form.
 	Full []byte
-	// Records are the target records in order. A copied record is
-	// base's own NCRecord, NC pointer included.
-	Records []NCRecord
-	// Engines holds, aligned with Records, the engine deserialized
-	// from an inserted record's inline programs, and nil for a copy.
-	Engines []*match.Engine
-	// Fingerprint is the target's core.FingerprintNCs over Records'
-	// NCs, in order: the chain's target, verified against the patched
-	// records.
+	// NCs are the target records in order. A copied record is base's
+	// own *core.NC.
+	NCs []*core.NC
+	// Copied counts the records taken from base; the rest were decoded
+	// from the delta.
+	Copied int
+	// Fingerprint is the target's core.FingerprintNCs over NCs, in
+	// order: the chain's target, verified against the patched records.
 	Fingerprint uint64
 }
 
-// ApplyDeltaRecords is ApplyDelta exposing the patch's provenance (see
-// Patched): a caller holding compiled state for the base can reuse it
-// for every copied record instead of decoding the full result. This is
-// what makes applying a small delta cheaper than a full corpus reload:
-// only the inserted records pay program deserialization and engine
-// construction.
-func ApplyDeltaRecords(base []NCRecord, delta []byte) (*Patched, error) {
-	return applyDelta(base, 0, false, delta)
-}
-
-// ApplyDeltaRecordsFP is ApplyDeltaRecords for callers that hold a
-// precomputed core.FingerprintNCs over base's NCs (extract memoizes it
-// at corpus build). The attested fingerprint is checked against the
+// ApplyDeltaRecordsFP is ApplyDelta exposing the patch's provenance
+// (see Patched), for callers that hold a precomputed
+// core.FingerprintNCs over base (extract memoizes it at corpus build).
+// A caller holding compiled state for the base can reuse it for every
+// copied record instead of decoding the full result: this is what
+// makes applying a small delta cheaper than a full corpus reload, since
+// only the inserted records pay decoding and engine construction.
+// The attested fingerprint is checked against the
 // chain exactly as the recomputed one would be — the caller saves one
 // full hash pass over the base, not any verification. Passing a
 // fingerprint that was not computed over base voids the base-mismatch
 // guarantee; the target-side checks (chain fingerprint and full-file
 // checksum) still hold regardless.
-func ApplyDeltaRecordsFP(base []NCRecord, baseFP uint64, delta []byte) (*Patched, error) {
+func ApplyDeltaRecordsFP(base []*core.NC, baseFP uint64, delta []byte) (*Patched, error) {
 	return applyDelta(base, baseFP, true, delta)
 }
 
-func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte) (*Patched, error) {
+func applyDelta(base []*core.NC, attestedFP uint64, attested bool, delta []byte) (*Patched, error) {
 	if len(delta) > maxSectionBytes+deltaHeaderLen {
 		return nil, fmt.Errorf("corpusbin: apply delta: input exceeds %d-byte cap", maxSectionBytes)
 	}
@@ -327,27 +326,25 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 		return nil, fmt.Errorf("corpusbin: apply delta: not an HBD delta (missing magic)")
 	}
 	if delta[3] != DeltaMagic[3] {
-		return nil, fmt.Errorf("corpusbin: apply delta: unsupported HBD version %d (this build reads %d)", delta[3], DeltaMagic[3])
+		return nil, versionError("apply delta", DeltaMagic, delta[3])
 	}
 	baseFP := binary.LittleEndian.Uint64(delta[4:])
 	targetFP := binary.LittleEndian.Uint64(delta[12:])
-	wantFileSum := binary.LittleEndian.Uint64(delta[20:])
-	wantSum := binary.LittleEndian.Uint64(delta[28:])
+	wantFileSum := binary.LittleEndian.Uint32(delta[20:])
+	wantSum := binary.LittleEndian.Uint32(delta[24:])
 	payload := delta[deltaHeaderLen:]
 	if got := checksum(payload); got != wantSum {
-		return nil, fmt.Errorf("corpusbin: apply delta: payload checksum mismatch (corrupt delta): got %016x want %016x", got, wantSum)
+		return nil, fmt.Errorf("corpusbin: apply delta: payload checksum mismatch (corrupt delta): got %08x want %08x", got, wantSum)
 	}
 
 	got := attestedFP
 	if !attested {
-		baseNCs := make([]*core.NC, len(base))
-		for i, rec := range base {
-			if rec.NC == nil || rec.NC.Suffix == "" {
+		for i, nc := range base {
+			if nc == nil || nc.Suffix == "" {
 				return nil, fmt.Errorf("corpusbin: apply delta: base record %d has no suffix", i)
 			}
-			baseNCs[i] = rec.NC
 		}
-		got = core.FingerprintNCs(baseNCs)
+		got = core.FingerprintNCs(base)
 	}
 	if got != baseFP {
 		return nil, fmt.Errorf("corpusbin: apply delta: %w: have %016x, delta chains %016x → %016x", ErrDeltaBaseMismatch, got, baseFP, targetFP)
@@ -372,8 +369,8 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]NCRecord, 0, nOps)
-	engines := make([]*match.Engine, 0, nOps)
+	out := make([]*core.NC, 0, nOps)
+	copied := 0
 	for i := 0; i < nOps; i++ {
 		head, err := d.byteVal("delta op head")
 		if err != nil {
@@ -389,14 +386,13 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 				return nil, d.errf("copy index %d out of range (base has %d)", idx, len(base))
 			}
 			out = append(out, base[idx])
-			engines = append(engines, nil)
+			copied++
 		case deltaOpInsert:
-			rec, eng, err := d.decodeNC(table)
+			nc, err := d.decodeNC(table)
 			if err != nil {
 				return nil, fmt.Errorf("corpusbin: apply delta: op %d: %w", i, err)
 			}
-			out = append(out, rec)
-			engines = append(engines, eng)
+			out = append(out, nc)
 		default:
 			return nil, d.errf("unknown delta op kind %d", head)
 		}
@@ -409,14 +405,14 @@ func applyDelta(base []NCRecord, attestedFP uint64, attested bool, delta []byte)
 	if err != nil {
 		return nil, fmt.Errorf("corpusbin: apply delta: %w", err)
 	}
-	// marshal stamped the patched corpus's fingerprint into the HBC
-	// header; checking it there verifies the chain's target without a
-	// second hash over every record.
+	// marshal stamped the patched corpus's fingerprint and payload
+	// checksum into the HBC header; checking them there verifies the
+	// chain's target without a second hash over every record or byte.
 	if got := binary.LittleEndian.Uint64(full[4:]); got != targetFP {
 		return nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus fingerprint %016x, chain target %016x", ErrDeltaResultMismatch, got, targetFP)
 	}
-	if got := checksum(full); got != wantFileSum {
-		return nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus bytes diverge from a full encode of the target (sum %016x, want %016x)", ErrDeltaResultMismatch, got, wantFileSum)
+	if got := binary.LittleEndian.Uint32(full[12:]); got != wantFileSum {
+		return nil, fmt.Errorf("corpusbin: apply delta: %w: patched corpus bytes diverge from a full encode of the target (sum %08x, want %08x)", ErrDeltaResultMismatch, got, wantFileSum)
 	}
-	return &Patched{Full: full, Records: out, Engines: engines, Fingerprint: targetFP}, nil
+	return &Patched{Full: full, NCs: out, Copied: copied, Fingerprint: targetFP}, nil
 }

@@ -9,20 +9,8 @@ import (
 	"testing"
 
 	"hoiho/internal/core"
-	"hoiho/internal/match"
 	"hoiho/internal/rex"
 )
-
-// testRecords compiles each NC's engine and pairs it with its wire
-// programs, the same preparation SaveBinary performs.
-func testRecords(t testing.TB, ncs []*core.NC) []NCRecord {
-	t.Helper()
-	recs := make([]NCRecord, len(ncs))
-	for i, nc := range ncs {
-		recs[i] = NCRecord{NC: nc, Programs: match.Compile(nc.Regexes).Wire()}
-	}
-	return recs
-}
 
 // mutatedNCs derives a target corpus from testNCs with one removal
 // (delta.io), one in-place replacement (alpha.net's eval counters
@@ -66,7 +54,7 @@ func chainOf(delta []byte) deltaChain {
 	return deltaChain{Base: binary.LittleEndian.Uint64(delta[4:]), Target: binary.LittleEndian.Uint64(delta[12:])}
 }
 
-func encodeDelta(t testing.TB, base, target []NCRecord) []byte {
+func encodeDelta(t testing.TB, base, target []*core.NC) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeDelta(&buf, base, target); err != nil {
@@ -79,10 +67,9 @@ func encodeDelta(t testing.TB, base, target []NCRecord) []byte {
 // ApplyDelta(base, Diff(base, target)) must reproduce a full Encode of
 // the target byte for byte, across add/remove/replace ops at once.
 func TestDeltaRoundTripByteIdentity(t *testing.T) {
-	base := testRecords(t, testNCs(t))
+	base := testNCs(t)
 	targetNCs := mutatedNCs(t)
-	target := testRecords(t, targetNCs)
-	delta := encodeDelta(t, base, target)
+	delta := encodeDelta(t, base, targetNCs)
 
 	got, err := ApplyDelta(base, delta)
 	if err != nil {
@@ -108,8 +95,8 @@ func TestDeltaRoundTripByteIdentity(t *testing.T) {
 }
 
 func TestDeltaEncodeDeterministic(t *testing.T) {
-	base := testRecords(t, testNCs(t))
-	target := testRecords(t, mutatedNCs(t))
+	base := testNCs(t)
+	target := mutatedNCs(t)
 	if !bytes.Equal(encodeDelta(t, base, target), encodeDelta(t, base, target)) {
 		t.Fatal("two encodes of the same delta differ")
 	}
@@ -132,19 +119,17 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 			Eval:    core.Eval{TP: i + 1, Matches: i + 1, UniqueTP: 1, UniqueExtract: 1},
 		})
 	}
-	base := testRecords(t, ncs)
 	targetNCs := append([]*core.NC(nil), ncs...)
 	cp := *ncs[7]
 	cp.Eval.TP += 9
 	targetNCs[7] = &cp
-	target := testRecords(t, targetNCs)
 
-	delta := encodeDelta(t, base, target)
+	delta := encodeDelta(t, ncs, targetNCs)
 	full := encodeCorpus(t, targetNCs)
 	if len(delta)*4 > len(full) {
 		t.Fatalf("one-record delta is %d bytes vs %d full — not worth shipping", len(delta), len(full))
 	}
-	got, err := ApplyDelta(base, delta)
+	got, err := ApplyDelta(ncs, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +140,7 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 
 // TestDeltaIdenticalCorpora: a no-op diff is a legal all-copy patch.
 func TestDeltaIdenticalCorpora(t *testing.T) {
-	base := testRecords(t, testNCs(t))
+	base := testNCs(t)
 	delta := encodeDelta(t, base, base)
 	got, err := ApplyDelta(base, delta)
 	if err != nil {
@@ -170,8 +155,8 @@ func TestDeltaIdenticalCorpora(t *testing.T) {
 // the one it was diffed from, with the typed sentinel the serve layer
 // keys its rollout nack on.
 func TestDeltaBaseMismatch(t *testing.T) {
-	base := testRecords(t, testNCs(t))
-	target := testRecords(t, mutatedNCs(t))
+	base := testNCs(t)
+	target := mutatedNCs(t)
 	delta := encodeDelta(t, base, target)
 
 	// Applying against the target (already rolled forward) must refuse.
@@ -193,8 +178,8 @@ func TestDeltaBaseMismatch(t *testing.T) {
 // reach (the chain target and the file sum) are still load-bearing —
 // tampering with either must surface the typed result-mismatch error.
 func TestDeltaResultMismatch(t *testing.T) {
-	base := testRecords(t, testNCs(t))
-	target := testRecords(t, mutatedNCs(t))
+	base := testNCs(t)
+	target := mutatedNCs(t)
 	delta := encodeDelta(t, base, target)
 
 	bad := append([]byte(nil), delta...)
@@ -216,8 +201,8 @@ func TestDeltaResultMismatch(t *testing.T) {
 // result mismatch; everywhere else the checksum or a structural check
 // catches it.)
 func TestDeltaCorruptionFailsClosed(t *testing.T) {
-	base := testRecords(t, testNCs(t))
-	target := testRecords(t, mutatedNCs(t))
+	base := testNCs(t)
+	target := mutatedNCs(t)
 	delta := encodeDelta(t, base, target)
 	if _, err := ApplyDelta(base, delta); err != nil {
 		t.Fatalf("pristine delta failed: %v", err)
@@ -250,12 +235,12 @@ func TestDeltaCorruptionFailsClosed(t *testing.T) {
 // sections is rejected before any allocation is attempted.
 func TestDeltaHostileCountsCapped(t *testing.T) {
 	payload := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // uvarint 2^63
-	base := testRecords(t, testNCs(t))
+	base := testNCs(t)
 	data := make([]byte, deltaHeaderLen, deltaHeaderLen+len(payload))
 	copy(data, DeltaMagic[:])
 	binary.LittleEndian.PutUint64(data[4:], core.FingerprintNCs(testNCs(t)))
 	data = append(data, payload...)
-	binary.LittleEndian.PutUint64(data[28:], checksum(payload))
+	binary.LittleEndian.PutUint32(data[24:], checksum(payload))
 	_, err := ApplyDelta(base, data)
 	if err == nil {
 		t.Fatal("hostile string count applied successfully")
@@ -266,7 +251,7 @@ func TestDeltaHostileCountsCapped(t *testing.T) {
 }
 
 func TestDeltaRejectsWrongVersionAndOversized(t *testing.T) {
-	base := testRecords(t, testNCs(t))
+	base := testNCs(t)
 	delta := encodeDelta(t, base, base)
 	bad := append([]byte(nil), delta...)
 	bad[3] = 0x7f
@@ -328,10 +313,8 @@ func FuzzHBDRoundTrip(f *testing.F) {
 			Eval:    core.Eval{TP: 1, Matches: 1, UniqueTP: 1, UniqueExtract: 1},
 		})
 
-		base := testRecords(t, baseNCs)
-		target := testRecords(t, targetNCs)
-		delta := encodeDelta(t, base, target)
-		got, err := ApplyDelta(base, delta)
+		delta := encodeDelta(t, baseNCs, targetNCs)
+		got, err := ApplyDelta(baseNCs, delta)
 		if err != nil {
 			t.Fatalf("apply of freshly encoded delta failed: %v", err)
 		}
@@ -345,12 +328,12 @@ func FuzzHBDRoundTrip(f *testing.F) {
 // and anything it accepts must be a self-consistent corpus matching the
 // delta's declared chain target.
 func FuzzHBDDecode(f *testing.F) {
-	seedBase := testRecords(f, testNCs(f))
-	f.Add([]byte("HBD\x01junk"))
+	f.Add([]byte("HBD\x02junk"))
 	f.Add([]byte{})
-	f.Add(encodeDelta(f, seedBase, testRecords(f, mutatedNCs(f))))
+	f.Add(readV1(f, "v1.hbd"))
+	f.Add(encodeDelta(f, testNCs(f), mutatedNCs(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base := testRecords(t, testNCs(t))
+		base := testNCs(t)
 		out, err := ApplyDelta(base, data)
 		if err != nil {
 			return

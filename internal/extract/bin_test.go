@@ -200,3 +200,33 @@ func TestLoadRejectsCorruptHBC(t *testing.T) {
 		t.Fatal("truncated HBC loaded successfully")
 	}
 }
+
+// TestRefusesV1: a corpus and a delta a version 1 encoder wrote (the
+// corpusbin package's fixtures, with their compiled-program tables)
+// are refused by Load and ApplyDelta with an error that names the
+// version and the command that writes a current corpus.
+func TestRefusesV1(t *testing.T) {
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("..", "corpusbin", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted version 1 bytes", what)
+		}
+		for _, want := range []string{"version 1", "hoiho -save x.hbc"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", what, err, want)
+			}
+		}
+	}
+	_, err := Load(bytes.NewReader(read("v1.hbc")))
+	check("Load", err)
+	_, _, err = ApplyDelta(New(syntheticNCs(t, 8)), read("v1.hbd"))
+	check("ApplyDelta", err)
+}

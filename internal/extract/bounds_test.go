@@ -176,18 +176,18 @@ func TestBoundDeltaSize(t *testing.T) {
 
 // loadMaxAllocs caps what Load allocates to bring the 128-convention
 // corpora below to ready-to-serve: reading and verifying the input,
-// decoding the records and their wire programs, and indexing them. Load
-// checks each source regex with match's token-level syntax gate, which
-// allocates nothing, and compiles no stdlib regexp for either kind of
-// program. Measured (the same under -race):
-//   - det conventions: 1,824. Parsing each regex's text with
+// decoding the token-form records, indexing them and compiling each
+// engine. Load checks each regex with match's token-level syntax gate,
+// which allocates nothing, and compiles no stdlib regexp for either
+// kind of program. Measured (the same under -race):
+//   - det conventions: 1,309. Parsing each regex's text with
 //     regexp/syntax, as match.Compile once checked a det program, would
-//     add about 2,950;
+//     add about 2,950. Decoding stored compiled programs instead of
+//     compiling (HBC version 1) took 1,824;
 //   - non-det conventions (an optional alternation before the capture):
-//     2,208, since such a program compiles its stdlib fallback only when
-//     a match reaches it. Compiling each at Load, as EngineFromWire once
-//     did, made it 15,648.
-var loadMaxAllocs = map[string]float64{"det": 1_900, "vm": 2_300}
+//     1,565, since such a program compiles its stdlib fallback only
+//     when a match reaches it. Compiling each at Load made it 15,648.
+var loadMaxAllocs = map[string]float64{"det": 1_400, "vm": 1_650}
 
 // vmWorkload is CorpusWorkload's conventions with an optional "(?:p|s)"
 // before the capture, which makes each one a non-det VM program.
@@ -201,9 +201,9 @@ func vmWorkload(ncs []*core.NC) []*core.NC {
 }
 
 // TestBoundLoadCompilesNoRegex: Load neither compiles nor parses regex
-// text, for a corpus of det conventions, whose matchers come from the
-// wire form alone, and for one of non-det conventions, whose stdlib
-// fallback compiles only on first use (DESIGN.md §8).
+// text, for a corpus of det conventions, whose matchers compile from
+// the token form alone, and for one of non-det conventions, whose
+// stdlib fallback compiles only on first use (DESIGN.md §8).
 func TestBoundLoadCompilesNoRegex(t *testing.T) {
 	det, _ := experiments.CorpusWorkload(128, 8)
 	for _, tc := range []struct {
@@ -256,7 +256,7 @@ func TestBoundLoadRefusesJSONAllocs(t *testing.T) {
 
 // deltaApplyMinSpeedup is how much faster applying the canonical delta
 // must be than a full HBC reload of the same target: the delta reuses
-// the base's compiled engines for every copied record.
+// the base's compiled engines and PSL answers for every copied record.
 const deltaApplyMinSpeedup = 1.2
 
 func TestBoundDeltaApplySpeedup(t *testing.T) {
@@ -333,10 +333,12 @@ func applyChained(t testing.TB, c *extract.Corpus, ab, ba []byte) *extract.Corpu
 
 // chainedApplyMaxAllocs caps two chained applies of the 32-of-4096
 // rollout delta, each to the corpus the previous apply built. Measured
-// 9,269 (9,270 under -race). Before applies adopted the verified
-// records and fingerprint they build a corpus from, the same two
-// applies took 25,715: every base re-serialized all its engines.
-const chainedApplyMaxAllocs = 10_000
+// 9,007 (9,010 under -race), nearly all of it the 4,096 index entries
+// each corpus holds. With each record's compiled programs decoded and
+// re-encoded (HBC version 1) it was 9,269; before applies adopted the
+// verified fingerprint, and records that carried those programs, it
+// was 25,715: every base re-serialized all its engines.
+const chainedApplyMaxAllocs = 9_500
 
 // TestBoundChainedApplyAllocs: a delta applied to a corpus ApplyDelta
 // itself built costs no more than one applied to a freshly loaded

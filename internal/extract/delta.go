@@ -5,28 +5,8 @@ import (
 	"io"
 	"time"
 
-	"hoiho/internal/core"
 	"hoiho/internal/corpusbin"
-	"hoiho/internal/match"
 )
-
-// binaryRecords builds the corpus's retained NCs in corpusbin record
-// form — the same preparation SaveBinary performs, reusing compiled
-// engines where the entries already hold them. The result is memoized
-// (the corpus is immutable after build, and serializing every engine's
-// wire programs is the expensive part), so repeated diffs and delta
-// applies against the same live corpus pay it once. Callers must treat
-// the returned slice as read-only.
-func (c *Corpus) binaryRecords() []corpusbin.NCRecord {
-	c.binOnce.Do(func() {
-		recs := make([]corpusbin.NCRecord, len(c.ncs))
-		for i, nc := range c.ncs {
-			recs[i] = corpusbin.NCRecord{NC: nc, Programs: c.compiledEngine(nc).Wire()}
-		}
-		c.binRecs = recs
-	})
-	return c.binRecs
-}
 
 // Diff writes the HBD delta that patches old's retained corpus into
 // new's (see internal/corpusbin): per-record add/remove/replace ops
@@ -34,7 +14,7 @@ func (c *Corpus) binaryRecords() []corpusbin.NCRecord {
 // whose fingerprint matches old's reproduces new's SaveBinary bytes
 // exactly.
 func Diff(old, new *Corpus, w io.Writer) error {
-	if err := corpusbin.EncodeDelta(w, old.binaryRecords(), new.binaryRecords()); err != nil {
+	if err := corpusbin.EncodeDelta(w, old.ncs, new.ncs); err != nil {
 		return fmt.Errorf("extract: diff: %w", err)
 	}
 	return nil
@@ -50,14 +30,14 @@ func Diff(old, new *Corpus, w io.Writer) error {
 // base is never modified.
 //
 // The result is assembled from provenance, not re-decoded: records the
-// delta copies keep base's NC and compiled engine, so only the
-// records the delta actually changed pay program deserialization and
-// engine construction. Applying a small delta is therefore cheaper than
-// reloading the full target corpus, even though the full bytes are
-// produced (and checksum-verified against the chain) either way. The
-// patched records, and the target fingerprint the chain verified, are
-// adopted as they are (see fromVerified), so a corpus built here is as
-// cheap a base for the next delta as base was for this one.
+// delta copies keep base's NC, compiled engine and PSL answers, so only
+// the records the delta actually changed pay decoding, engine
+// compilation and PSL checks. Applying a small delta is therefore
+// cheaper than reloading the full target corpus, even though the full
+// bytes are produced (and checksum-verified against the chain) either
+// way. The target fingerprint the chain verified is adopted as it is
+// (see fromVerified), so a corpus built here is as cheap a base for the
+// next delta as base was for this one.
 func ApplyDelta(base *Corpus, delta []byte, opts ...Option) (*Corpus, []byte, error) {
 	c, full, _, err := ApplyDeltaStats(base, delta, opts...)
 	return c, full, err
@@ -69,10 +49,10 @@ type DeltaStats struct {
 	// Copied and Inserted count the target's records taken from base
 	// and decoded from the delta.
 	Copied, Inserted int
-	// Apply is everything up to the verified records: base's record
-	// form if it was not yet memoized, then corpusbin's checksums,
-	// chain check, decoding of the inserted records, and re-encoding and
-	// checking of the target. Index is building the corpus from them.
+	// Apply is everything up to the verified records: corpusbin's
+	// checksum, chain check, decoding of the inserted records, and
+	// re-encoding and checking of the target. Index is building the
+	// corpus from them, inserted records' engines included.
 	Apply, Index time.Duration
 }
 
@@ -80,36 +60,20 @@ type DeltaStats struct {
 func ApplyDeltaStats(base *Corpus, delta []byte, opts ...Option) (*Corpus, []byte, DeltaStats, error) {
 	var st DeltaStats
 	start := time.Now()
-	// base.fp is core.FingerprintNCs over the same NCs binaryRecords
-	// carries, memoized at corpus build; attesting it skips one full
-	// hash pass over the base without weakening the chain check.
-	p, err := corpusbin.ApplyDeltaRecordsFP(base.binaryRecords(), base.fp, delta)
+	// base.fp is core.FingerprintNCs over base.ncs, memoized at corpus
+	// build; attesting it skips one full hash pass over the base
+	// without weakening the chain check.
+	p, err := corpusbin.ApplyDeltaRecordsFP(base.ncs, base.fp, delta)
 	if err != nil {
 		return nil, nil, st, fmt.Errorf("extract: apply delta: %w", err)
 	}
-	if len(p.Records) == 0 {
+	if len(p.NCs) == 0 {
 		return nil, nil, st, fmt.Errorf("extract: apply delta: corpus contains no conventions")
 	}
-	for _, eng := range p.Engines {
-		if eng == nil {
-			st.Copied++
-		}
-	}
-	st.Inserted = len(p.Records) - st.Copied
+	st.Copied, st.Inserted = p.Copied, len(p.NCs)-p.Copied
 	st.Apply = time.Since(start)
 	start = time.Now()
-	ncs := make([]*core.NC, len(p.Records))
-	for i, rec := range p.Records {
-		ncs[i] = rec.NC
-	}
-	c := fromVerified(ncs, p.Records, p.Fingerprint, func(i int) *match.Engine {
-		if eng := p.Engines[i]; eng != nil {
-			return eng
-		}
-		// A copied record: base's compiled engine is the engine for
-		// these exact programs.
-		return base.compiledEngine(ncs[i])
-	}, opts)
+	c := fromVerified(p.NCs, p.Fingerprint, base, opts)
 	st.Index = time.Since(start)
 	return c, p.Full, st, nil
 }

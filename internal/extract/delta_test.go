@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hoiho/internal/core"
@@ -101,6 +102,67 @@ func TestApplyDeltaStats(t *testing.T) {
 	}
 	if st.Apply <= 0 || st.Index <= 0 {
 		t.Errorf("apply %v, index %v: want both timed", st.Apply, st.Index)
+	}
+}
+
+// TestApplyDeltaPSLFlags: an applied corpus selects the same suffix
+// lookup (pslDirect, safeDirect) as a fresh Load of its target, while
+// its copied records inherit the base's PSL answers. The chain starts
+// on a corpus of registered domains and inserts a suffix that is not
+// one ("net"), which turns pslDirect off; then it keeps or drops that
+// suffix and one with a PSL rule beneath it ("amazonaws.com") across
+// epochs, so a copied record's answer is only inherited from a base
+// whose every suffix has it.
+func TestApplyDeltaPSLFlags(t *testing.T) {
+	all := syntheticNCs(t, 25)
+	pool, extra := all[:24], all[24]
+	net := ncFromJSON(t, "net", `^as(\\d+)-[^\\.]+\\.net$`, core.Good)
+	aws := ncFromJSON(t, "amazonaws.com", `^as(\\d+)-[^\\.]+\\.amazonaws\\.com$`, core.Good)
+	with := func(ncs ...*core.NC) []*core.NC { return append(slices.Clone(pool), ncs...) }
+	steps := []struct {
+		name         string
+		ncs          []*core.NC
+		direct, safe bool
+	}{
+		{"inserts net", with(net), false, false},
+		{"keeps net, inserts amazonaws.com", with(net, aws), false, false},
+		{"drops net", with(aws), true, false},
+		{"keeps amazonaws.com, inserts a registered domain", with(aws, extra), true, false},
+		{"drops amazonaws.com", with(extra), true, true},
+	}
+	c := New(pool)
+	if !c.pslDirect || !c.safeDirect {
+		t.Fatal("the starting corpus is not all registered domains")
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, st := range steps {
+		target := New(st.ncs)
+		applied, full, err := ApplyDelta(c, deltaBytes(t, c, target))
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		fresh, err := Load(bytes.NewReader(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied.pslDirect != st.direct || applied.safeDirect != st.safe {
+			t.Errorf("%s: pslDirect/safeDirect %v/%v, want %v/%v", st.name, applied.pslDirect, applied.safeDirect, st.direct, st.safe)
+		}
+		if applied.pslDirect != fresh.pslDirect || applied.safeDirect != fresh.safeDirect {
+			t.Errorf("%s: pslDirect/safeDirect %v/%v, a fresh Load %v/%v", st.name, applied.pslDirect, applied.safeDirect, fresh.pslDirect, fresh.safeDirect)
+		}
+		hosts := []string{"as64500-pop1.net", "as64500-pop1.amazonaws.com", "as64500-pop1.s3.amazonaws.com", "AS64500-POP1.NET"}
+		for i := 0; i < 500; i++ {
+			hosts = append(hosts, randomHost(rng, st.ncs))
+		}
+		for _, h := range hosts {
+			ra, oka := applied.Extract(context.Background(), h)
+			rf, okf := fresh.Extract(context.Background(), h)
+			if oka != okf || ra != rf {
+				t.Fatalf("%s: host %q: applied (%+v,%v), fresh Load (%+v,%v)", st.name, h, ra, oka, rf, okf)
+			}
+		}
+		c = applied
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 
 	"hoiho/internal/asn"
 	"hoiho/internal/core"
-	"hoiho/internal/corpusbin"
 	"hoiho/internal/match"
 	"hoiho/internal/psl"
 	"hoiho/internal/rex"
@@ -63,8 +62,8 @@ type entry struct {
 }
 
 // engine returns the entry's engine, compiling it on first use. An
-// entry pre-armed by the binary corpus loader or a delta apply (eng
-// already set, before the corpus was shared) keeps that engine.
+// entry pre-armed by a delta apply (eng already set, before the corpus
+// was shared) keeps that engine.
 func (e *entry) engine() *match.Engine {
 	//hoiho:hotalloc compile-once guard: the literal runs once per entry and does not escape on the armed fast path; TestBoundExtractAllocs pins 0 allocs/op after Precompile
 	e.once.Do(func() {
@@ -79,9 +78,11 @@ func (e *entry) engine() *match.Engine {
 // be applied to any number of hostnames. Build one with New or Load and
 // share it freely between goroutines.
 type Corpus struct {
-	list     *psl.List
-	entries  map[string]*entry
-	ncs      []*core.NC // retained NCs, suffix-sorted
+	list    *psl.List
+	entries map[string]*entry
+	// ncs are the retained NCs, suffix-sorted: the records SaveBinary
+	// encodes and a delta diffs and patches.
+	ncs      []*core.NC
 	workers  int
 	minClass core.Classification
 	// ready is set by Precompile: every entry's engine is built, so hot
@@ -116,11 +117,6 @@ type Corpus struct {
 	safeDirect bool
 	// fp is the content fingerprint, computed once in New.
 	fp uint64
-	// binOnce/binRecs memoize the corpusbin record form of the retained
-	// NCs (engine wire programs included): a serving corpus is diffed
-	// and patched repeatedly, and the records never change after build.
-	binOnce sync.Once
-	binRecs []corpusbin.NCRecord
 }
 
 // Option configures a Corpus at construction time.
@@ -153,7 +149,7 @@ func UsableOnly() Option { return MinClass(core.Promising) }
 // per-consumer indexes. Compilation is lazy: a suffix's engine is built
 // on its first lookup, once; Load precompiles eagerly.
 func New(ncs []*core.NC, opts ...Option) *Corpus {
-	c, _ := index(ncs, opts)
+	c, _ := index(ncs, opts, nil)
 	c.fp = c.fingerprint()
 	return c
 }
@@ -162,8 +158,11 @@ func New(ncs []*core.NC, opts ...Option) *Corpus {
 // that the corpus retained every NC of ncs in their order — none nil,
 // filtered or superseded, and ncs already strictly suffix-sorted — so
 // c.ncs equals ncs element for element and any fact verified over ncs
-// holds for the corpus.
-func index(ncs []*core.NC, opts []Option) (c *Corpus, whole bool) {
+// holds for the corpus. base, when non-nil, is a corpus whose PSL
+// answers hold for every suffix it indexes under the same list: a
+// delta's copied records inherit them, so only the suffixes base does
+// not index are checked against the list.
+func index(ncs []*core.NC, opts []Option, base *Corpus) (c *Corpus, whole bool) {
 	c = &Corpus{entries: make(map[string]*entry, len(ncs))}
 	for _, o := range opts {
 		o(c)
@@ -204,15 +203,25 @@ func index(ncs []*core.NC, opts []Option) (c *Corpus, whole bool) {
 	if !sorted {
 		slices.SortFunc(c.ncs, cmpSuffix)
 	}
+	// A fact base holds for all its suffixes holds for each of them
+	// here, when base read it from the same list.
+	inherit := base != nil && base.list == c.list
 	c.pslDirect = true
 	for _, nc := range c.ncs {
+		if inherit && base.pslDirect && base.table.get(nc.Suffix) != nil {
+			continue
+		}
 		if reg, ok := c.list.RegisteredDomain(nc.Suffix); !ok || reg != nc.Suffix {
 			c.pslDirect = false
+			break
 		}
 	}
 	c.safeDirect = c.pslDirect
 	if c.safeDirect {
 		for _, nc := range c.ncs {
+			if inherit && base.safeDirect && base.table.get(nc.Suffix) != nil {
+				continue
+			}
 			if c.list.HasRuleBeneath(nc.Suffix) {
 				c.safeDirect = false
 				break
@@ -238,37 +247,31 @@ func cmpSuffix(a, b *core.NC) int { return strings.Compare(a.Suffix, b.Suffix) }
 
 // fromVerified builds the corpus Load and ApplyDelta return from
 // conventions whose content has just been verified — by
-// corpusbin.Decode (payload checksum, header fingerprint, every engine
-// through EngineFromWire) or by a delta apply (chain fingerprints,
-// target file sum). fp is the verified core.FingerprintNCs of ncs in
-// their order, and engine(i) returns ncs[i]'s compiled engine; it is
-// called only for retained conventions. recs, when non-nil, are ncs'
-// verified records (recs[i].NC == ncs[i]). When opts keep every
-// convention in order, the corpus adopts fp, and recs as its
-// binaryRecords memo, instead of hashing and re-serializing what was
-// just checked; otherwise both are computed as New and SaveBinary
-// would. Every engine is armed, so the corpus is ready to serve.
-func fromVerified(ncs []*core.NC, recs []corpusbin.NCRecord, fp uint64, engine func(i int) *match.Engine, opts []Option) *Corpus {
-	c, whole := index(ncs, opts)
+// corpusbin.Decode (payload checksum, header fingerprint, token
+// validation) or by a delta apply (chain fingerprints, target file
+// sum). fp is the verified core.FingerprintNCs of ncs in their order.
+// When opts keep every convention in order, the corpus adopts fp
+// instead of hashing what was just checked; otherwise it is computed
+// as New would. base, for an apply, is the corpus the delta patched:
+// each retained NC that is base's own (a copied record) takes base's
+// engine, and its suffix base's PSL answers (see index). Every other
+// retained NC compiles here, once, so the corpus is ready to serve.
+func fromVerified(ncs []*core.NC, fp uint64, base *Corpus, opts []Option) *Corpus {
+	c, whole := index(ncs, opts, base)
 	if whole {
 		c.fp = fp
-		if recs != nil {
-			c.binOnce.Do(func() { c.binRecs = recs })
-		}
 	} else {
 		c.fp = c.fingerprint()
 	}
-	for i, nc := range ncs {
-		e, ok := c.entries[nc.Suffix]
-		if !ok || e.nc != nc {
-			continue // filtered out, or superseded by a later duplicate
+	if base != nil {
+		for _, e := range c.entries {
+			// Single-threaded: the corpus is not shared until it is
+			// returned.
+			if be := base.table.get(e.nc.Suffix); be != nil && be.nc == e.nc {
+				e.eng = base.engineFor(be)
+			}
 		}
-		// Single-threaded: the corpus is not shared until it is
-		// returned. A nil engine is left for Precompile to build.
-		e.eng = engine(i)
 	}
-	// Every engine is armed; Precompile compiles nothing and only
-	// publishes the ready flag.
 	c.Precompile()
 	return c
 }

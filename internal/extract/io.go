@@ -8,7 +8,6 @@ import (
 	"hoiho/internal/atomicfile"
 	"hoiho/internal/core"
 	"hoiho/internal/corpusbin"
-	"hoiho/internal/match"
 )
 
 // maxLoadBytes caps how much corpus Load will read. The full-scale
@@ -17,20 +16,22 @@ import (
 const maxLoadBytes = 64 << 20
 
 // Load reads an HBC binary corpus (see internal/corpusbin; the output
-// of `hoiho -save` and SaveFile) and indexes it. The records decode
-// straight to ready-to-serve state, each pre-armed with its compiled
-// match programs, so a loaded corpus never parses a regex or compiles
-// a matcher. Options apply as in New, so a loaded corpus can be
-// filtered at load time, e.g. Load(r, UsableOnly()). A corpus that
-// keeps every decoded record, in order, adopts the fingerprint Decode
-// verified instead of hashing its regexes again (fromVerified).
+// of `hoiho -save` and SaveFile) and indexes it. The records decode to
+// token-form regexes with no regex text parsed, and Load compiles a
+// match engine for each convention it keeps (match.Compile, which
+// parses and compiles no regex text either), so the corpus is ready to
+// serve. Options apply as in New, so a loaded corpus can be filtered
+// at load time, e.g. Load(r, UsableOnly()). A corpus that keeps every
+// decoded record, in order, adopts the fingerprint Decode verified
+// instead of hashing its regexes again (fromVerified).
 //
 // HBC is the one loadable format. The JSON form (`hoiho -json`, Save)
 // is for people to read and is refused here, as is any other input
 // without the HBC magic, before any parse. Load is strict: inputs over
 // 64 MiB, corrupt or unsupported-version HBC, and corpora with zero
 // conventions all return descriptive errors rather than a silently
-// empty corpus that would extract nothing.
+// empty corpus that would extract nothing. HBC of an older format
+// version is refused with an error naming `hoiho -save`.
 func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxLoadBytes+1))
 	if err != nil {
@@ -49,10 +50,7 @@ func Load(r io.Reader, opts ...Option) (*Corpus, error) {
 	if len(dec.NCs) == 0 {
 		return nil, fmt.Errorf("extract: load: corpus contains no conventions")
 	}
-	// The decoded records are not adopted: a corpus that is only ever
-	// served would carry their wire programs for nothing. The first
-	// delta applied to it builds its record form once.
-	return fromVerified(dec.NCs, nil, dec.Fingerprint, func(i int) *match.Engine { return dec.Engines[i] }, opts), nil
+	return fromVerified(dec.NCs, dec.Fingerprint, nil, opts), nil
 }
 
 // LoadFile loads an HBC corpus from disk.
@@ -86,24 +84,13 @@ func (c *Corpus) Save(w io.Writer) error {
 }
 
 // SaveBinary writes the corpus in the HBC binary form (see
-// internal/corpusbin): the same retained NCs as Save, plus each one's
-// compiled match programs, so a later Load reaches ready-to-serve state
-// without recompiling. Already-compiled engines are reused; suffixes
-// whose engine was never built compile here, once.
+// internal/corpusbin): the same retained NCs as Save, each regex in
+// token form. It compiles nothing; Load compiles the engines.
 func (c *Corpus) SaveBinary(w io.Writer) error {
-	if err := corpusbin.Encode(w, c.binaryRecords()); err != nil {
+	if err := corpusbin.Encode(w, c.ncs); err != nil {
 		return fmt.Errorf("extract: save: %w", err)
 	}
 	return nil
-}
-
-// compiledEngine returns nc's compiled engine, reusing the entry's when
-// it has been built.
-func (c *Corpus) compiledEngine(nc *core.NC) *match.Engine {
-	if e, ok := c.entries[nc.Suffix]; ok && e.nc == nc && e.eng != nil {
-		return e.eng
-	}
-	return match.Compile(nc.Regexes)
 }
 
 // SaveFile writes the corpus to disk atomically in the HBC binary form,

@@ -2,33 +2,25 @@ package extract
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"reflect"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"hoiho/internal/core"
 	"hoiho/internal/corpusbin"
-	"hoiho/internal/match"
 )
-
-// rawRecords compiles ncs into records in their order, duplicates kept:
-// what a writer other than SaveBinary may encode.
-func rawRecords(ncs []*core.NC) []corpusbin.NCRecord {
-	recs := make([]corpusbin.NCRecord, len(ncs))
-	for i, nc := range ncs {
-		recs[i] = corpusbin.NCRecord{NC: nc, Programs: match.Compile(nc.Regexes).Wire()}
-	}
-	return recs
-}
 
 // TestFromVerifiedMatchesOracle: the corpora Load and ApplyDelta build
 // from verified records — a loaded corpus, then two deltas applied in a
 // chain, each to the previous apply's result — hold the same
-// binaryRecords memo, fingerprint and saved bytes as a corpus New
-// builds from the same NCs. On the sorted, unfiltered input an apply
-// adopts the verified records; an unsorted input, a duplicate suffix
-// and a class filter that drops records fall back to computing them.
+// fingerprint, PSL lookup mode and saved bytes as a corpus New builds
+// from the same NCs, and extract the same answers. The records are
+// encoded in the given order, duplicates kept, as a writer other than
+// SaveBinary may: on the sorted, unfiltered input a corpus adopts the
+// verified fingerprint; an unsorted input, a duplicate suffix and a
+// class filter that drops records fall back to computing it.
 func TestFromVerifiedMatchesOracle(t *testing.T) {
 	pool := syntheticNCs(t, 56)
 	changed := *pool[10]
@@ -53,29 +45,27 @@ func TestFromVerifiedMatchesOracle(t *testing.T) {
 		name  string
 		order func([]*core.NC) []*core.NC
 		opts  []Option
-		adopt bool
 	}{
-		{"sorted", slices.Clone[[]*core.NC], nil, true},
-		{"unsorted", reversed, nil, false},
-		{"duplicate suffix", duplicated, nil, false},
-		{"filtered", slices.Clone[[]*core.NC], []Option{UsableOnly()}, false},
+		{"sorted", slices.Clone[[]*core.NC], nil},
+		{"unsorted", reversed, nil},
+		{"duplicate suffix", duplicated, nil},
+		{"filtered", slices.Clone[[]*core.NC], []Option{UsableOnly()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := corpusbin.Encode(&buf, rawRecords(tc.order(versions[0]))); err != nil {
+			if err := corpusbin.Encode(&buf, tc.order(versions[0])); err != nil {
 				t.Fatal(err)
 			}
 			c, err := Load(&buf, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Load adopts the verified fingerprint but never the records.
-			checkVerified(t, "load", c, tc.order(versions[0]), tc.opts, false)
+			checkVerified(t, "load", c, tc.order(versions[0]), tc.opts)
 			for gen, ncs := range versions[1:] {
-				target := rawRecords(tc.order(ncs))
+				target := tc.order(ncs)
 				var delta, want bytes.Buffer
-				if err := corpusbin.EncodeDelta(&delta, c.binaryRecords(), target); err != nil {
+				if err := corpusbin.EncodeDelta(&delta, c.ncs, target); err != nil {
 					t.Fatal(err)
 				}
 				if err := corpusbin.Encode(&want, target); err != nil {
@@ -88,7 +78,7 @@ func TestFromVerifiedMatchesOracle(t *testing.T) {
 				if !bytes.Equal(full, want.Bytes()) {
 					t.Errorf("apply %d: target bytes differ from a full encode of the target", gen+1)
 				}
-				checkVerified(t, fmt.Sprintf("apply %d", gen+1), next, tc.order(ncs), tc.opts, tc.adopt)
+				checkVerified(t, fmt.Sprintf("apply %d", gen+1), next, tc.order(ncs), tc.opts)
 				c = next
 			}
 		})
@@ -96,27 +86,28 @@ func TestFromVerifiedMatchesOracle(t *testing.T) {
 }
 
 // checkVerified holds c, built from verified records of input under
-// opts, to the oracle: its memo is the records its engines rebuild, its
-// fingerprint is the hash of its retained NCs, and it saves the bytes a
-// corpus New builds from input saves. adopt says whether c must have
-// adopted the verified records: its memo set before anything asked.
-func checkVerified(t *testing.T, step string, c *Corpus, input []*core.NC, opts []Option, adopt bool) {
+// opts, to the oracle: its fingerprint is the hash of its retained NCs,
+// it selects the same PSL lookup as, saves the bytes of, and extracts
+// like a corpus New builds from input.
+func checkVerified(t *testing.T, step string, c *Corpus, input []*core.NC, opts []Option) {
 	t.Helper()
-	if got := c.binRecs != nil; got != adopt {
-		t.Errorf("%s: adopted the verified records = %v, want %v", step, got, adopt)
-	}
 	want := New(input, opts...)
-	rebuilt := make([]corpusbin.NCRecord, len(c.ncs))
-	for i, nc := range c.ncs {
-		rebuilt[i] = corpusbin.NCRecord{NC: nc, Programs: c.compiledEngine(nc).Wire()}
-	}
-	if !reflect.DeepEqual(c.binaryRecords(), rebuilt) {
-		t.Errorf("%s: binaryRecords differ from the records its engines rebuild", step)
-	}
 	if got, fp := c.Fingerprint(), core.FingerprintNCs(c.ncs); got != fp || got != want.Fingerprint() {
 		t.Errorf("%s: fingerprint %016x, retained NCs hash to %016x, New's corpus %016x", step, got, fp, want.Fingerprint())
 	}
+	if c.pslDirect != want.pslDirect || c.safeDirect != want.safeDirect {
+		t.Errorf("%s: pslDirect/safeDirect %v/%v, New's corpus %v/%v", step, c.pslDirect, c.safeDirect, want.pslDirect, want.safeDirect)
+	}
 	if !bytes.Equal(hbcBytes(t, c), hbcBytes(t, want)) {
 		t.Errorf("%s: SaveBinary differs from a corpus New builds", step)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		host := randomHost(rng, input)
+		rc, okc := c.Extract(context.Background(), host)
+		rw, okw := want.Extract(context.Background(), host)
+		if okc != okw || rc != rw {
+			t.Fatalf("%s: host %q: (%+v,%v), New's corpus (%+v,%v)", step, host, rc, okc, rw, okw)
+		}
 	}
 }

@@ -69,11 +69,11 @@ func FuzzCompiledMatchParity(f *testing.F) {
 	})
 }
 
-// FuzzSyntaxGate: syntaxOK, the token-level gate Compile and
-// EngineFromWire apply, must agree with syntax.Parse on the rendered
-// text for every regex. spec builds one regex with gateAST, whose text
-// tokens copy arbitrary bytes (invalid UTF-8, every punctuation byte),
-// and one with specAST; src is parsed with rex.Parse.
+// FuzzSyntaxGate: syntaxOK, the token-level gate Compile applies, must
+// agree with syntax.Parse on the rendered text for every regex. spec
+// builds one regex with gateAST, whose text tokens copy arbitrary bytes
+// (invalid UTF-8, every punctuation byte), and one with specAST; src is
+// parsed with rex.Parse.
 func FuzzSyntaxGate(f *testing.F) {
 	for _, seed := range paritySeeds {
 		f.Add(seed.spec, "")

@@ -52,12 +52,11 @@ type Engine struct {
 // NewRegexpSet drops, so compiled and oracle indexes stay aligned.
 func Compile(regexes []*rex.Regex) *Engine {
 	e := &Engine{}
-	for i, r := range regexes {
+	for _, r := range regexes {
 		if r == nil {
 			continue
 		}
 		if p, ok := compileProgram(r); ok {
-			p.rxIndex = i
 			e.programs = append(e.programs, p)
 		}
 	}

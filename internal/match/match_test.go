@@ -385,8 +385,8 @@ func TestCompileDropsWhatStdlibDrops(t *testing.T) {
 			if eng.Len() != 1 || ora.Len() != 1 {
 				t.Fatalf("regex %q: engine kept %d of 2, oracle %d; want 1 each", r, eng.Len(), ora.Len())
 			}
-			if got := eng.programs[0].rxIndex; got != 1 {
-				t.Fatalf("kept program has rxIndex %d, want 1", got)
+			if _, ok := eng.MatchString("as9.net"); !ok {
+				t.Fatal("the kept program is not the valid regex's")
 			}
 			checkParity(t, r, "a\xff9.net")
 		})
@@ -417,8 +417,7 @@ func TestExclusionBracketParity(t *testing.T) {
 }
 
 // TestProgramRegexpOnlyWhereReachable pins the rule for a program's
-// stdlib compilation, whether compiled or decoded from the wire: a det
-// program never holds one; an oracle program holds one from the start,
+// stdlib compilation: a det program never holds one; an oracle program holds one from the start,
 // since oracleMatch is its whole matcher; a non-det VM program holds
 // only its source until a match falls back, and compiles then.
 func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
@@ -457,22 +456,18 @@ func TestProgramRegexpOnlyWhereReachable(t *testing.T) {
 		}
 	}
 	for _, r := range regexes {
-		fresh, loaded := rewire(t, []*rex.Regex{r})
-		check("compiled", r, fresh)
-		check("wire-decoded", r, loaded)
+		check("compiled", r, Compile([]*rex.Regex{r}))
 	}
 	if det == 0 || vmProgs == 0 || oracle == 0 {
 		t.Fatalf("covered %d det, %d VM, %d oracle programs; want each kind", det, vmProgs, oracle)
 	}
-	fresh, loaded := rewire(t, []*rex.Regex{budgetRegex()})
-	for _, e := range []*Engine{fresh, loaded} {
-		p := e.programs[0]
-		if _, ok := e.MatchString("1abcdefghijkl!"); !ok || p.std.re != nil {
-			t.Fatalf("a match within the budget: ok=%v, compiled=%v; want a match and no compile", ok, p.std.re != nil)
-		}
-		if _, ok := e.MatchString(budgetHost); ok || p.std.re == nil {
-			t.Fatalf("a search past the budget: ok=%v, compiled=%v; want no match and a compile", ok, p.std.re != nil)
-		}
+	e := Compile([]*rex.Regex{budgetRegex()})
+	p := e.programs[0]
+	if _, ok := e.MatchString("1abcdefghijkl!"); !ok || p.std.re != nil {
+		t.Fatalf("a match within the budget: ok=%v, compiled=%v; want a match and no compile", ok, p.std.re != nil)
+	}
+	if _, ok := e.MatchString(budgetHost); ok || p.std.re == nil {
+		t.Fatalf("a search past the budget: ok=%v, compiled=%v; want no match and a compile", ok, p.std.re != nil)
 	}
 }
 

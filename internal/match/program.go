@@ -101,10 +101,6 @@ type program struct {
 	// program has no stdlib compilation: almost every learned
 	// convention matches without one.
 	det bool
-	// rxIndex is the program's position in the regex list it compiled
-	// from (Compile drops stdlib-uncompilable regexes, so program count
-	// can trail regex count). It keys the wire form back to its source.
-	rxIndex int
 	// std is the stdlib compilation oracleMatch answers with, set
 	// exactly when the program can reach oracleMatch (see setStdlib):
 	// the whole matcher of an oracle program (ASTs the lowering cannot
@@ -207,10 +203,7 @@ func (p *program) setStdlib(r *rex.Regex) {
 // finalize derives every field the matcher dispatch needs from the
 // fundamental op sequence (kind, lit, set, alts, opt, capture) and the
 // oracle flag: per-op minW/excl1/isDigit/fixedTail, the program's
-// minLen and head/tail literals, and the det classification. It is the
-// single derivation path shared by compileProgram and the wire decoder
-// (EngineFromWire), so a deserialized program behaves bit-for-bit like
-// a freshly compiled one.
+// minLen and head/tail literals, and the det classification.
 func (p *program) finalize() {
 	p.minLen = 0
 	for i := range p.ops {

@@ -60,8 +60,7 @@ func TestValidWithout(t *testing.T) {
 }
 
 // TestLazyStdlibCompileRace: goroutines sharing one engine fall back to
-// the stdlib at the same time, on an engine built by Compile and on one
-// built by EngineFromWire. Each answer must equal NewRegexpSet's, and
+// the stdlib at the same time. Each answer must equal NewRegexpSet's, and
 // each program must compile its stdlib regexp exactly once. Run it
 // under -race: the compile must not race the matches that wait on it.
 // The race detector sees an unsynchronized compile in only some
@@ -77,8 +76,7 @@ func TestLazyStdlibCompileRace(t *testing.T) {
 	}
 	const repeats, workers, rounds = 10, 8, 2
 	for r := 0; r < repeats; r++ {
-		fresh, loaded := rewire(t, set)
-		engines := []*Engine{fresh, loaded}
+		engines := []*Engine{Compile(set)}
 		var wg sync.WaitGroup
 		errs := make(chan string, len(engines)*workers)
 		start := make(chan struct{}) // released at once, so the fallbacks overlap
